@@ -1,23 +1,33 @@
 /**
  * @file
- * Timed-execution extension bench: execution time (not just link
- * bits) of the two-mode protocol under its policies, across the
- * write-fraction range, plus a link-width (bandwidth) sweep showing
- * contention effects.
+ * Timed-execution extension bench: completion time (not just link
+ * bits) of the two-mode protocol in distributed-write and
+ * global-read mode across the write-fraction range, plus a
+ * link-width (bandwidth) sweep showing contention effects.
  *
- * The paper evaluates communication cost only; this bench shows the
- * same conclusions hold for completion time once messages queue on
- * real links.
+ * The paper evaluates communication cost only; this bench runs the
+ * message-level concurrent engine, whose transactions overlap and
+ * queue on real links, to show how its conclusions carry over to
+ * completion time. Every run must end with no value errors, no
+ * watchdog deadlock and a clean quiescent invariant check; the first
+ * failure names its mode, write fraction and link width on stderr
+ * and exits nonzero instead of printing a table.
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
+#include <string>
+#include <vector>
 
-#include "timed/timed_system.hh"
+#include "net/omega_network.hh"
+#include "proto/checker.hh"
+#include "proto/concurrent.hh"
+#include "sim/logging.hh"
 #include "workload/placement.hh"
 #include "workload/shared_block.hh"
 
 using namespace mscp;
-using namespace mscp::timed;
 
 namespace
 {
@@ -26,20 +36,36 @@ constexpr unsigned numPorts = 64;
 constexpr unsigned tasks = 8;
 constexpr std::uint64_t refsPerRun = 8000;
 
-TimedRunResult
-run(core::PolicyKind policy, double w, Bits link_width)
+constexpr cache::Mode dw = cache::Mode::DistributedWrite;
+constexpr cache::Mode gr = cache::Mode::GlobalRead;
+
+[[noreturn]] void
+fail(cache::Mode mode, double w, Bits link_width,
+     const std::string &why)
 {
-    core::SystemConfig cfg;
-    cfg.numPorts = numPorts;
-    cfg.geometry = cache::Geometry{4, 16, 2};
-    cfg.policy = policy;
-    cfg.adaptWindow = 16;
-    TimedConfig tc;
-    tc.linkWidthBits = link_width;
+    std::fprintf(stderr,
+                 "bench_latency: %s mode, w=%.2f, %llu-bit links: "
+                 "%s\n", cache::modeName(mode), w,
+                 static_cast<unsigned long long>(link_width),
+                 why.c_str());
+    std::exit(1);
+}
+
+proto::ConcurrentRunResult
+run(cache::Mode mode, double w, Bits link_width)
+{
+    net::OmegaNetwork net(numPorts);
+    proto::ConcurrentParams params;
+    params.geometry = cache::Geometry{4, 16, 2};
+    params.defaultMode = mode;
+    params.linkWidthBits = link_width;
     // Closed loop: ~100 ticks of private work between shared refs
-    // keeps the processors in phase (see TimedConfig::thinkTime).
-    tc.thinkTime = 100;
-    TimedSystem ts(cfg, tc);
+    // keeps the processors in phase.
+    params.thinkTime = 100;
+    // A wedged transaction is reported as a deadlock instead of
+    // hanging the bench.
+    params.watchdogPeriod = 10000;
+    proto::ConcurrentProtocol engine(net, params);
 
     workload::SharedBlockParams p;
     p.placement = workload::adjacentPlacement(tasks);
@@ -49,7 +75,36 @@ run(core::PolicyKind policy, double w, Bits link_width)
     p.baseAddr = static_cast<Addr>(numPorts - 1) * 4;
     p.numRefs = refsPerRun;
     workload::SharedBlockWorkload stream(p);
-    return ts.run(stream);
+
+    proto::ConcurrentRunResult res;
+    try {
+        res = engine.run(stream);
+    } catch (const PanicError &e) {
+        fail(mode, w, link_width, e.message);
+    }
+    if (res.valueErrors)
+        fail(mode, w, link_width,
+             csprintf("%llu value errors",
+                      static_cast<unsigned long long>(
+                          res.valueErrors)));
+    if (res.deadlocks)
+        fail(mode, w, link_width, engine.deadlockReport());
+
+    proto::SystemView v;
+    v.numCaches = engine.numCaches();
+    v.cacheArray = [&engine](NodeId c) -> const cache::CacheArray & {
+        return engine.cacheArray(c);
+    };
+    v.memoryModule = [&engine](unsigned i)
+        -> const mem::MemoryModule & {
+        return engine.memoryModule(i);
+    };
+    v.homeOf = [&engine](BlockId b) { return engine.homeOf(b); };
+    v.isQuiescent = [&engine] { return engine.isQuiescent(); };
+    auto errs = proto::checkInvariants(v);
+    if (!errs.empty())
+        fail(mode, w, link_width, errs.front());
+    return res;
 }
 
 } // anonymous namespace
@@ -57,41 +112,52 @@ run(core::PolicyKind policy, double w, Bits link_width)
 int
 main()
 {
-    std::printf("# Timed execution: N=%u, n=%u tasks, %llu "
-                "refs/point, 16-bit links\n\n",
-                numPorts, tasks,
-                static_cast<unsigned long long>(refsPerRun));
-    std::printf("%6s | %12s %12s %12s | %10s %10s\n", "w",
-                "dw ticks", "gr ticks", "adapt ticks",
-                "rd-lat(dw)", "rd-lat(gr)");
-    for (double w : {0.02, 0.1, 0.3, 0.5, 0.8}) {
-        auto dw = run(core::PolicyKind::ForceDW, w, 16);
-        auto gr = run(core::PolicyKind::ForceGR, w, 16);
-        auto ad = run(core::PolicyKind::Adaptive, w, 16);
-        std::printf("%6.2f | %12llu %12llu %12llu | %10.1f "
-                    "%10.1f\n", w,
-                    static_cast<unsigned long long>(dw.makespan),
-                    static_cast<unsigned long long>(gr.makespan),
-                    static_cast<unsigned long long>(ad.makespan),
-                    dw.avgReadLatency, gr.avgReadLatency);
+    const double writeFractions[] = {0.02, 0.1, 0.3, 0.5, 0.8};
+    const Bits linkWidths[] = {4, 8, 16, 32, 64, 128};
+
+    // Every run finishes before anything is printed, so a failing
+    // run leaves no partial table on stdout.
+    std::vector<proto::ConcurrentRunResult> by_w, by_width;
+    for (double w : writeFractions) {
+        by_w.push_back(run(dw, w, 16));
+        by_w.push_back(run(gr, w, 16));
+    }
+    for (Bits width : linkWidths) {
+        by_width.push_back(run(dw, 0.3, width));
+        by_width.push_back(run(gr, 0.3, width));
     }
 
-    std::printf("\n# bandwidth sweep at w=0.3 (adaptive policy)\n");
-    std::printf("%8s %12s %12s %14s\n", "width", "makespan",
-                "critical", "utilization");
-    for (Bits width : {4ull, 8ull, 16ull, 32ull, 64ull, 128ull}) {
-        auto r = run(core::PolicyKind::Adaptive, 0.3, width);
-        std::printf("%8llu %12llu %12llu %13.1f%%\n",
-                    static_cast<unsigned long long>(width),
-                    static_cast<unsigned long long>(r.makespan),
+    std::printf("# Timed execution (message-level engine): N=%u, "
+                "n=%u tasks, %llu refs/point, 16-bit links\n\n",
+                numPorts, tasks,
+                static_cast<unsigned long long>(refsPerRun));
+    std::printf("%6s | %12s %12s | %10s %10s\n", "w", "dw ticks",
+                "gr ticks", "rd-lat(dw)", "rd-lat(gr)");
+    for (std::size_t i = 0; i < std::size(writeFractions); ++i) {
+        const auto &d = by_w[2 * i];
+        const auto &g = by_w[2 * i + 1];
+        std::printf("%6.2f | %12llu %12llu | %10.1f %10.1f\n",
+                    writeFractions[i],
+                    static_cast<unsigned long long>(d.makespan),
+                    static_cast<unsigned long long>(g.makespan),
+                    d.avgReadLatency, g.avgReadLatency);
+    }
+
+    std::printf("\n# bandwidth sweep at w=0.3\n");
+    std::printf("%8s %12s %12s\n", "width", "dw ticks", "gr ticks");
+    for (std::size_t i = 0; i < std::size(linkWidths); ++i) {
+        std::printf("%8llu %12llu %12llu\n",
+                    static_cast<unsigned long long>(linkWidths[i]),
                     static_cast<unsigned long long>(
-                        r.zeroLoadCriticalPath),
-                    100.0 * r.linkUtilization);
+                        by_width[2 * i].makespan),
+                    static_cast<unsigned long long>(
+                        by_width[2 * i + 1].makespan));
     }
     std::printf("\n# expected: DW wins completion time at low w "
                 "(reads hit locally), GR at high w;\n"
-                "# narrow links raise makespan (makespan includes "
-                "the 100-tick think time per ref).\n"
+                "# narrow links raise makespan, DW's far more than "
+                "GR's (makespan includes the\n"
+                "# 100-tick think time per ref).\n"
                 "# note: in time (unlike in link bits) the "
                 "crossover sits below w1 = 2/(n+2): a\n"
                 "# distributed write serializes the writer, while "

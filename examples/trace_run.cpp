@@ -1,9 +1,9 @@
 /**
  * @file
  * Trace-driven simulator front end: replay a reference trace file
- * through the two-mode protocol and dump the full statistics view,
- * including the per-message-type breakdown and per-stage link
- * traffic.
+ * through the two-mode protocol and print the system report
+ * (protocol counters, per-stage link traffic) and the
+ * per-message-type breakdown.
  *
  *   ./trace_run <trace-file> [ports] [policy]
  *
@@ -18,7 +18,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/stats_bridge.hh"
 #include "core/system.hh"
 #include "workload/trace.hh"
 
@@ -64,7 +63,6 @@ main(int argc, char **argv)
         cfg.policy = core::PolicyKind::Adaptive;
 
     core::System sys(cfg);
-    core::StatsBridge bridge(sys);
 
     workload::TracePlayer player(refs, argc > 1 ? argv[1] : "demo");
     auto res = sys.run(player);
@@ -78,7 +76,5 @@ main(int argc, char **argv)
     std::cout << "\nmessage breakdown:\n";
     core::dumpMessageTable(std::cout,
                            sys.protocol().messageCounters());
-    std::cout << "\nstatistics:\n";
-    bridge.dump(std::cout);
     return res.valueErrors ? 2 : 0;
 }

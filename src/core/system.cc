@@ -1,5 +1,7 @@
 #include "system.hh"
 
+#include <iomanip>
+
 #include "sim/logging.hh"
 
 namespace mscp::core
@@ -116,12 +118,42 @@ System::report(std::ostream &os) const
        << " (owned-excl=" << c.replOwnedExcl
        << " owned-nonexcl=" << c.replOwnedNonExcl
        << " unowned=" << c.replUnOwned
-       << " invalid=" << c.replInvalid << ")\n";
+       << " invalid=" << c.replInvalid << "), write-backs: "
+       << c.writeBacks << "\n";
+    const std::uint64_t refs = c.reads + c.writes;
+    const double bits_per_ref = refs
+        ? static_cast<double>(ls.totalBits()) /
+              static_cast<double>(refs)
+        : 0.0;
     os << "network: " << ls.totalBits() << " bits over "
-       << ls.traversals() << " link traversals; per-level:";
+       << ls.traversals() << " link traversals ("
+       << csprintf("%.1f", bits_per_ref) << " bits/ref, hottest link "
+       << ls.maxLinkBits() << " bits); per-level:";
     for (unsigned i = 0; i < ls.numLevels(); ++i)
         os << " " << ls.levelBits(i);
     os << "\n";
+}
+
+void
+dumpMessageTable(std::ostream &os,
+                 const proto::MessageCounters &counters)
+{
+    os << std::left << std::setw(16) << "message type"
+       << std::right << std::setw(12) << "count"
+       << std::setw(16) << "bits" << "\n";
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(proto::MsgType::NumTypes);
+         ++i) {
+        if (counters.count[i] == 0)
+            continue;
+        os << std::left << std::setw(16)
+           << proto::msgTypeName(static_cast<proto::MsgType>(i))
+           << std::right << std::setw(12) << counters.count[i]
+           << std::setw(16) << counters.bits[i] << "\n";
+    }
+    os << std::left << std::setw(16) << "total"
+       << std::right << std::setw(12) << counters.totalCount()
+       << std::setw(16) << counters.totalBits() << "\n";
 }
 
 } // namespace mscp::core

@@ -75,7 +75,10 @@ class System
      */
     proto::RunResult run(workload::ReferenceStream &stream);
 
-    /** Summary report (counters + per-level traffic). */
+    /**
+     * Summary report: protocol counters, write-backs, network bits
+     * (total, per reference, hottest link) and per-level traffic.
+     */
     void report(std::ostream &os) const;
 
   private:
@@ -85,6 +88,10 @@ class System
     std::unique_ptr<proto::StenstromProtocol> proto;
     std::unique_ptr<ModePolicy> modePolicy;
 };
+
+/** Print a per-message-type count/bits table for any engine. */
+void dumpMessageTable(std::ostream &os,
+                      const proto::MessageCounters &counters);
 
 } // namespace mscp::core
 

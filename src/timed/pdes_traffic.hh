@@ -24,7 +24,7 @@
  * in send order (the omega network has one path per pair and serial
  * links, so the real network is FIFO per pair too; a per-pair clamp
  * preserves that under the contention-free interior). Co-located
- * exchanges cost localLatency, as in TimedSystem. The minimum
+ * exchanges skip the network and cost localLatency. The minimum
  * cross-port latency -- net::TimedNetwork::zeroLoadLookahead() --
  * is the PDES lookahead.
  *

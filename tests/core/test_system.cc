@@ -27,6 +27,15 @@ sharedStream(double w, unsigned tasks, std::uint64_t refs)
     return workload::SharedBlockWorkload(p);
 }
 
+SystemConfig
+cfg16()
+{
+    SystemConfig cfg;
+    cfg.numPorts = 16;
+    cfg.geometry = cache::Geometry{4, 8, 2};
+    return cfg;
+}
+
 } // anonymous namespace
 
 TEST(System, BuildsAndRuns)
@@ -103,6 +112,9 @@ TEST(System, ReportMentionsKeyCounters)
     EXPECT_NE(s.find("reads"), std::string::npos);
     EXPECT_NE(s.find("ownership transfers"), std::string::npos);
     EXPECT_NE(s.find("network:"), std::string::npos);
+    EXPECT_NE(s.find("write-backs:"), std::string::npos);
+    EXPECT_NE(s.find("bits/ref"), std::string::npos);
+    EXPECT_NE(s.find("hottest link"), std::string::npos);
 }
 
 TEST(System, PolicyKindNames)
@@ -149,4 +161,41 @@ TEST(System, HighWriteFractionFavorsGlobalRead)
     };
     EXPECT_LT(bits_for(PolicyKind::ForceGR),
               bits_for(PolicyKind::ForceDW));
+}
+
+TEST(MessageTable, ListsOnlyUsedTypes)
+{
+    System sys(cfg16());
+    auto &p = sys.protocol();
+    p.write(0, 100, 1);
+    p.read(1, 100);
+
+    std::ostringstream os;
+    dumpMessageTable(os, p.messageCounters());
+    auto s = os.str();
+    EXPECT_NE(s.find("LoadReq"), std::string::npos);
+    EXPECT_NE(s.find("total"), std::string::npos);
+    // No distributed-write updates happened.
+    EXPECT_EQ(s.find("DwUpdate"), std::string::npos);
+}
+
+TEST(MessageTable, TotalsAreConsistent)
+{
+    System sys(cfg16());
+    auto &p = sys.protocol();
+    for (Addr a = 0; a < 32; ++a) {
+        p.write(static_cast<NodeId>(a % 16), a, a);
+        p.read(static_cast<NodeId>((a + 1) % 16), a);
+    }
+    const auto &mc = p.messageCounters();
+    std::uint64_t count = 0;
+    Bits bits = 0;
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(proto::MsgType::NumTypes);
+         ++i) {
+        count += mc.count[i];
+        bits += mc.bits[i];
+    }
+    EXPECT_EQ(count, mc.totalCount());
+    EXPECT_EQ(bits, mc.totalBits());
 }

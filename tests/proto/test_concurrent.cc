@@ -370,6 +370,64 @@ TEST(Concurrent, ThinkTimeSlowsTheClockNotTheWork)
     EXPECT_GT(run_with(50), run_with(0));
 }
 
+namespace
+{
+
+// Eight adjacent tasks share one block homed at port 15 of a 16-port
+// network, all in one coherence mode.
+ConcurrentRunResult
+runSharedBlock(cache::Mode mode, double w, Bits width, std::uint64_t refs)
+{
+    net::OmegaNetwork net(16);
+    ConcurrentParams params = baseParams();
+    params.defaultMode = mode;
+    params.linkWidthBits = width;
+    ConcurrentProtocol p(net, params);
+    workload::SharedBlockParams wp;
+    wp.placement = workload::adjacentPlacement(8);
+    wp.writeFraction = w;
+    wp.numBlocks = 1;
+    wp.blockWords = 4;
+    wp.baseAddr = 15 * 4;
+    wp.numRefs = refs;
+    workload::SharedBlockWorkload stream(wp);
+    auto res = p.run(stream);
+    EXPECT_EQ(res.valueErrors, 0u);
+    return res;
+}
+
+} // anonymous namespace
+
+TEST(Concurrent, WiderLinksRunFaster)
+{
+    for (cache::Mode mode : {cache::Mode::DistributedWrite,
+                             cache::Mode::GlobalRead}) {
+        SCOPED_TRACE(cache::modeName(mode));
+        EXPECT_LT(runSharedBlock(mode, 0.3, 64, 2000).makespan,
+                  runSharedBlock(mode, 0.3, 8, 2000).makespan);
+    }
+}
+
+TEST(Concurrent, DistributedWriteCutsReadLatencyAtLowW)
+{
+    // Read-mostly sharing turns DW reads into local hits.
+    EXPECT_LT(
+        runSharedBlock(cache::Mode::DistributedWrite, 0.05, 16, 4000)
+            .avgReadLatency,
+        runSharedBlock(cache::Mode::GlobalRead, 0.05, 16, 4000)
+                .avgReadLatency / 2);
+}
+
+TEST(Concurrent, DeterministicAcrossRuns)
+{
+    for (cache::Mode mode : {cache::Mode::DistributedWrite,
+                             cache::Mode::GlobalRead}) {
+        SCOPED_TRACE(cache::modeName(mode));
+        EXPECT_EQ(runSharedBlock(mode, 0.3, 8, 2000).makespan,
+                  runSharedBlock(mode, 0.3, 8, 2000).makespan);
+    }
+}
+
 TEST(Concurrent, HotSpotContentionStaysLinearizable)
 {
     net::OmegaNetwork net(16);
