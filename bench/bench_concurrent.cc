@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/bench_json.hh"
 #include "core/sweep.hh"
 
 using namespace mscp;
@@ -48,8 +47,6 @@ point(EngineKind engine, double w)
 int
 main()
 {
-    core::BenchJson bench("concurrent");
-
     const std::vector<double> writeFractions{0.05, 0.2, 0.5, 0.8};
     std::vector<core::SweepPoint> points;
     for (double w : writeFractions) {
@@ -68,7 +65,6 @@ main()
                 "makespan", "rd-lat", "wr-lat", "queued",
                 "ptrNack");
 
-    std::uint64_t events = 0;
     for (std::size_t i = 0; i < writeFractions.size(); ++i) {
         const core::SweepResult &atom = results[2 * i];
         const core::SweepResult &conc = results[2 * i + 1];
@@ -76,7 +72,6 @@ main()
             std::printf("# WARNING: atomic value errors\n");
         if (conc.valueErrors)
             std::printf("# WARNING: concurrent value errors\n");
-        events += conc.events;
         std::printf("%6.2f | %10llu %10llu %6.2fx | %10llu %9.1f "
                     "%9.1f %8llu %8llu\n", writeFractions[i],
                     static_cast<unsigned long long>(atom.messages),
@@ -102,8 +97,5 @@ main()
     core::capturePointObservability(
         point(EngineKind::Concurrent, writeFractions.back()),
         "concurrent/w0.8");
-
-    bench.latencies(core::mergeLatencies(results));
-    bench.finish(points.size(), events);
     return 0;
 }

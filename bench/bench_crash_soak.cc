@@ -14,20 +14,15 @@
  * the control: identical workload with the crash path compiled in
  * but never firing.
  *
- * Per-class crash-masked counters go to BenchJson only (one
- * representative directed run), keeping stdout byte-stable so CI
- * can diff two runs of this binary for determinism.
+ * Stdout is byte-stable, so CI can diff two runs of this binary
+ * for determinism. A point that panics fails the bench: runSweep
+ * names every failed point on stderr and no table is printed.
  */
 
 #include <cstdio>
 #include <vector>
 
-#include "core/bench_json.hh"
 #include "core/sweep.hh"
-#include "net/omega_network.hh"
-#include "proto/concurrent.hh"
-#include "workload/placement.hh"
-#include "workload/shared_block.hh"
 
 using namespace mscp;
 using core::EngineKind;
@@ -86,58 +81,11 @@ point(const Schedule &row, std::uint64_t seed)
     return pt;
 }
 
-/**
- * One directed owner-crash run outside the sweep runner, so the
- * bench can read the injector's per-class crash-masked counters
- * (the sweep result only carries the total).
- */
-void
-emitPerClassMasked(core::BenchJson &bench)
-{
-    net::OmegaNetwork net(numPorts);
-    proto::ConcurrentParams cp;
-    cp.geometry = cache::Geometry{4, 2, 1};
-    cp.crashPlan = CrashPlan::singleNode(0, 1500, 0);
-    cp.timeoutBase = 256;
-    cp.maxRetries = 5;
-    cp.watchdogPeriod = 50000;
-    cp.watchdogAge = 400000;
-
-    workload::SharedBlockParams wp;
-    wp.placement = workload::adjacentPlacement(tasks);
-    wp.writeFraction = 0.35;
-    wp.numBlocks = 4;
-    wp.blockWords = 4;
-    wp.baseAddr = static_cast<Addr>(numPorts - 4) * 4;
-    wp.numRefs = refsPerRun;
-    wp.seed = 7;
-    workload::SharedBlockWorkload stream(wp);
-
-    proto::ConcurrentProtocol proto(net, cp);
-    proto.run(stream);
-
-    const FaultCounters &fc = proto.faultCounters();
-    char key[64];
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(FaultClass::NumClasses);
-         ++c) {
-        std::snprintf(key, sizeof(key), "crash_masked_%s",
-                      faultClassName(static_cast<FaultClass>(c)));
-        bench.metric(key, fc.crashMasked[c]);
-    }
-    bench.metric("crash_masked_total", fc.totalCrashMasked());
-    bench.metric("directed_rebuilds", proto.counters().rebuilds);
-    bench.metric("directed_durable_writes",
-                 proto.counters().durableWrites);
-}
-
 } // anonymous namespace
 
 int
 main()
 {
-    core::BenchJson bench("crash_soak");
-
     std::vector<core::SweepPoint> points;
     for (const Schedule &row : rows)
         for (std::uint64_t s = 1; s <= seedsPerRow; ++s)
@@ -156,9 +104,6 @@ main()
                 "rebuild", "restart", "lost", "rejoin", "bad",
                 "dead");
 
-    std::uint64_t events = 0;
-    std::uint64_t totalMasked = 0, totalRebuilds = 0;
-    std::uint64_t totalRestarts = 0;
     std::size_t i = 0;
     for (const Schedule &row : rows) {
         std::uint64_t makespan = 0, masked = 0, suspects = 0;
@@ -175,11 +120,7 @@ main()
             rejoins += r.rejoins;
             bad += r.valueErrors + r.invariantErrors;
             dead += r.deadlocks;
-            events += r.events;
         }
-        totalMasked += masked;
-        totalRebuilds += rebuilds;
-        totalRestarts += restarts;
         std::printf("%13s | %9llu | %6llu %7llu %7llu %7llu %7llu "
                     "%5llu | %5llu %4llu\n",
                     row.name,
@@ -204,12 +145,6 @@ main()
                 "# watchdog-flagged wedges; both columns must "
                 "read zero on every row.\n");
 
-    bench.metric("sweep_crash_masked", totalMasked);
-    bench.metric("sweep_rebuilds", totalRebuilds);
-    bench.metric("sweep_recovery_restarts", totalRestarts);
-    emitPerClassMasked(bench);
-    bench.latencies(core::mergeLatencies(results));
-
     // Observability capture: re-run one crash+rejoin point with the
     // tracer and/or windowed metrics forced on ($MSCP_TRACE_OUT /
     // $MSCP_METRICS_OUT) so the recovery spans (suspect -> rebuild)
@@ -220,7 +155,5 @@ main()
     observed.traceCapacity = 1 << 20;
     core::capturePointObservability(observed,
                                     "crash_soak/mid+rejoin");
-
-    bench.finish(points.size(), events);
     return 0;
 }

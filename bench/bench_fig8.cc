@@ -19,7 +19,6 @@
 #include <iostream>
 #include <vector>
 
-#include "core/bench_json.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
 
@@ -58,8 +57,6 @@ point(EngineKind engine, double w)
 int
 main()
 {
-    core::BenchJson bench("fig8");
-
     // Part 1: analytic curves.
     const std::vector<double> sharers{4, 8, 16, 32, 64};
     core::printFig8(std::cout, sharers,
@@ -106,8 +103,5 @@ main()
     // stays byte-stable.
     core::capturePointObservability(
         point(EngineKind::Concurrent, 0.5), "fig8/w0.5");
-
-    bench.latencies(core::mergeLatencies(results));
-    bench.finish(points.size(), 0);
     return 0;
 }

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/bench_json.hh"
 #include "core/sweep.hh"
 
 using namespace mscp;
@@ -50,8 +49,6 @@ value(const core::SweepResult &r)
 int
 main()
 {
-    core::BenchJson bench("sensitivity");
-
     const std::vector<unsigned> blockSizes{1, 2, 4, 8, 16, 32};
     const std::vector<unsigned> setCounts{2, 4, 8, 16, 32};
     const std::vector<unsigned> machineSizes{16, 32, 64, 128, 256};
@@ -103,8 +100,5 @@ main()
     core::SweepPoint observed = point(64, 4, 16, 2, 8, 0.2, 4);
     observed.engine = core::EngineKind::Concurrent;
     core::capturePointObservability(observed, "sensitivity/base");
-
-    bench.latencies(core::mergeLatencies(results));
-    bench.finish(points.size(), 0);
     return 0;
 }

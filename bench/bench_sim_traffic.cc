@@ -19,18 +19,19 @@
  * engine (timed/pdes_traffic.hh), executed serially and at 1/2/4/8
  * workers. Stdout carries only deterministic statistics -- byte
  * identical for every worker count, including MSCP_PDES_THREADS,
- * which the CI diff gate relies on -- while wall time and
- * events/sec for each worker count go to the JSON trajectory.
+ * which the CI diff gate relies on -- while the wall time of each
+ * worker count, with the 8-worker speedup, goes to one `#` line on
+ * stderr.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/bench_json.hh"
 #include "core/sweep.hh"
 #include "sim/logging.hh"
 #include "timed/pdes_traffic.hh"
@@ -80,76 +81,22 @@ pdesConfig()
 }
 
 /**
- * Run the sharded timed system once and record wall time and
- * throughput under @p label in the bench JSON. Stdout is not
- * touched here: timing stays out of the byte-stable table.
+ * Run the sharded timed system once -- the serial reference when
+ * @p num_threads is negative -- and return its result; @p secs
+ * receives the wall time. Stdout is not touched here: timing stays
+ * out of the byte-stable table.
  */
 timed::PdesTrafficResult
-timedPdesRun(core::BenchJson &bench, const std::string &label,
-             int num_threads, double *events_per_sec = nullptr)
+timedPdesRun(int num_threads, double &secs)
 {
     timed::PdesTrafficSystem sys(pdesConfig());
     const auto t0 = std::chrono::steady_clock::now();
     const timed::PdesTrafficResult r = num_threads < 0
         ? sys.runSerial()
         : sys.run(static_cast<unsigned>(num_threads));
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0).count();
-    const double eps =
-        secs > 0 ? static_cast<double>(r.events) / secs : 0.0;
-    bench.metric(("pdes_" + label + "_secs").c_str(), secs);
-    bench.metric(("pdes_" + label + "_events_per_sec").c_str(), eps);
-    if (events_per_sec)
-        *events_per_sec = eps;
+    secs = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - t0).count();
     return r;
-}
-
-/**
- * Per-window stage-contention summary of a metrics-enabled PDES
- * run, as a JSON array for the bench record: one entry per sampled
- * span with the net.stage_wait grid delta summed per stage row.
- * Spans are downsampled so the array stays at most 32 entries
- * however long the run was. "[]" when metrics are compiled out.
- */
-std::string
-stageContentionJson(const timed::PdesTrafficSystem &sys)
-{
-    const std::vector<MetricsWindow> windows = sys.metricsWindows();
-    const MetricSeries *sw = nullptr;
-    for (const MetricSeries &s : sys.metricsRegistry().series())
-        if (s.name == "net.stage_wait")
-            sw = &s;
-    if (!sw || windows.empty())
-        return "[]";
-
-    const std::size_t stride = (windows.size() + 31) / 32;
-    std::string out = "[";
-    const std::vector<std::uint64_t> *prev = nullptr;
-    for (std::size_t i = 0; i < windows.size(); i += stride) {
-        const MetricsWindow &w =
-            windows[std::min(i + stride, windows.size()) - 1];
-        if (out.size() > 1)
-            out += ',';
-        out += "{\"window\":" + std::to_string(w.window) +
-            ",\"end_tick\":" + std::to_string(w.endTick) +
-            ",\"stage_wait\":[";
-        for (std::uint32_t r = 0; r < sw->rows; ++r) {
-            std::uint64_t sum = 0;
-            for (std::uint32_t c = 0; c < sw->cols; ++c) {
-                const std::size_t cell = sw->slot + r * sw->cols + c;
-                sum += w.cells[cell] -
-                    (prev ? (*prev)[cell] : 0); // cumulative cells
-            }
-            if (r)
-                out += ',';
-            out += std::to_string(sum);
-        }
-        out += "]}";
-        prev = &w.cells;
-    }
-    out += ']';
-    return out;
 }
 
 } // anonymous namespace
@@ -157,8 +104,6 @@ stageContentionJson(const timed::PdesTrafficSystem &sys)
 int
 main()
 {
-    core::BenchJson bench("sim_traffic");
-
     const std::vector<unsigned> taskCounts{4, 8, 16, 32};
     const std::vector<double> writeFractions{
         0.02, 0.1, 0.2, 0.35, 0.5, 0.75, 0.95};
@@ -205,10 +150,11 @@ main()
                 "# two-mode pair and stays below no-cache.\n");
 
     // ---- PDES intra-run scaling: one big timed run, sharded ----
-    // Serial reference plus the 1/2/4/8-worker trajectory, then one
-    // run at the environment default (MSCP_PDES_THREADS) whose
-    // deterministic stats are the ones printed. Everything below
-    // must be byte-identical for every worker count.
+    // Serial reference plus one timed run at each of 1/2/4/8
+    // workers, then one run at the environment default
+    // (MSCP_PDES_THREADS) whose deterministic stats are the ones
+    // printed. Everything below on stdout must be byte-identical
+    // for every worker count.
     const timed::PdesTrafficConfig pcfg = pdesConfig();
     std::printf("\n# PDES intra-run scaling: %u-port sharded timed "
                 "run (%u shards, %llu refs/node, w=%.2f)\n",
@@ -216,19 +162,21 @@ main()
                 static_cast<unsigned long long>(pcfg.refsPerNode),
                 pcfg.writeFraction);
 
-    double serialEps = 0, eps8 = 0;
+    double serialSecs = 0, secs = 0;
     const timed::PdesTrafficResult serial =
-        timedPdesRun(bench, "serial", -1, &serialEps);
+        timedPdesRun(-1, serialSecs);
+    std::string timing =
+        csprintf("# PDES wall time: serial %.3f s", serialSecs);
     bool identical = true;
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        const timed::PdesTrafficResult r = timedPdesRun(
-            bench, "t" + std::to_string(threads),
-            static_cast<int>(threads),
-            threads == 8 ? &eps8 : nullptr);
+        const timed::PdesTrafficResult r =
+            timedPdesRun(static_cast<int>(threads), secs);
         identical = identical && r == serial;
+        timing += csprintf(", %ut %.3f s", threads, secs);
     }
-    bench.metric("pdes_speedup_8t",
-                 serialEps > 0 ? eps8 / serialEps : 0.0);
+    // secs is the 8-worker run's.
+    std::fprintf(stderr, "%s; speedup at 8t %.2fx\n", timing.c_str(),
+                 secs > 0 ? serialSecs / secs : 0.0);
 
     // The default-thread run carries the windowed metrics: pure
     // observation, so its result must still match the serial
@@ -245,12 +193,9 @@ main()
                 "workers: %s\n", identical ? "yes" : "NO -- "
                 "DETERMINISM BROKEN");
 
-    // Per-window stage-contention heatmap summary into the JSON
-    // record only (empty when metrics are compiled out), plus the
-    // full window series to $MSCP_METRICS_OUT when asked. Stdout
-    // above stays byte-stable either way.
-    bench.raw("pdes_stage_contention", stageContentionJson(sys));
-    if (const char *mpath = core::metricsOutPath()) {
+    // The full window series to $MSCP_METRICS_OUT when asked.
+    // Stdout above stays byte-stable either way.
+    if (const char *mpath = std::getenv("MSCP_METRICS_OUT")) {
         std::ofstream mf(mpath, std::ios::app);
         if (!mf) {
             warn("cannot open metrics output file %s", mpath);
@@ -261,9 +206,5 @@ main()
         }
     }
 
-    std::uint64_t events = core::totalEvents(results);
-    events += serial.events * 6; // serial + 4 scan runs + default
-    bench.latencies(core::mergeLatencies(results));
-    bench.finish(points.size() + 6, events);
     return identical ? 0 : 1;
 }

@@ -24,8 +24,7 @@
  * and the 2-node configs run the refinement checker (refine.hh:
  * observable-trace inclusion in the atomic-register spec).
  *
- * Coverage numbers go to BenchJson when $MSCP_BENCH_JSON is set,
- * and a machine-readable per-config coverage summary is written to
+ * A machine-readable per-config coverage summary is written to
  * $MSCP_VERIFY_COVERAGE_OUT when set; tools/check_verify_coverage.py
  * diffs that summary against tests/verify/sweep_baseline.json so a
  * change that silently shrinks coverage (or un-exhausts a config)
@@ -60,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bench_json.hh"
 #include "sim/logging.hh"
 #include "sim/pool.hh"
 #include "verify/explorer.hh"
@@ -253,7 +251,6 @@ main(int argc, char **argv)
         }
     }
 
-    core::BenchJson json("verify_sweep");
     setLogLevel(LogLevel::Silent);
 
     std::vector<Row> rows = matrix();
@@ -268,7 +265,6 @@ main(int argc, char **argv)
                 "config", "full", "por", "ratio", "settled",
                 "depth", "liveness", "refine", "audit", "verdict");
     bool failed = false;
-    std::uint64_t totalStates = 0, totalEdges = 0;
     for (Row &row : rows) {
         const ExploreResult &r = row.full;
         bool liveRan = !audit_only && r.complete &&
@@ -320,23 +316,6 @@ main(int argc, char **argv)
         if (refineRan && (!row.refine.violations.empty() ||
                           !row.refine.complete))
             failed = true;
-        totalStates += r.states;
-        totalEdges += r.edges;
-
-        std::string p = "verify_" + row.cfg.name;
-        json.metric((p + "_states_full").c_str(), r.states);
-        json.metric((p + "_states_por").c_str(), row.por.states);
-        json.metric((p + "_edges_full").c_str(), r.edges);
-        json.metric((p + "_settled_unique").c_str(),
-                    r.settledUnique);
-        json.metric((p + "_complete").c_str(),
-                    static_cast<std::uint64_t>(r.complete ? 1 : 0));
-        json.metric((p + "_audit_ok").c_str(),
-                    static_cast<std::uint64_t>(row.auditOk ? 1
-                                                           : 0));
-        if (liveRan)
-            json.metric((p + "_liveness_states").c_str(),
-                        row.live.states);
     }
 
     if (const char *out = std::getenv("MSCP_VERIFY_COVERAGE_OUT")) {
@@ -372,6 +351,5 @@ main(int argc, char **argv)
         os << "  }\n}\n";
     }
 
-    json.finish(rows.size(), totalEdges);
     return failed ? 1 : 0;
 }

@@ -8,8 +8,8 @@
  * (S = 3, so relative bucket error is bounded by 1/8). Recording is
  * one bit-scan plus one increment; merging is plain counter addition,
  * so merged results are bit-identical regardless of merge order —
- * the property the parallel sweep's thread-count-stability contract
- * (tests/core/test_sweep.cc) depends on.
+ * the property the sharded PDES engine's worker-count-stability
+ * contract (tests/timed/test_pdes_traffic.cc) depends on.
  *
  * Percentiles report the upper bound of the bucket holding the
  * requested rank, clamped to the exact maximum seen, so p100 == max
@@ -72,8 +72,8 @@ class LatencyHistogram
 };
 
 /**
- * One histogram per OpClass; the unit the sweep layer stores per
- * point and merges across points.
+ * One histogram per OpClass; the unit the sharded PDES engine keeps
+ * per shard and merges across shards.
  */
 class OpLatencies
 {

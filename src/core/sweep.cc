@@ -2,9 +2,11 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
-#include "core/bench_json.hh"
 #include "proto/checker.hh"
 #include "proto/concurrent.hh"
 #include "proto/dragon.hh"
@@ -68,9 +70,6 @@ runBaseline(const SweepPoint &pt)
     out.networkBits = r.networkBits;
     out.messages = r.messages;
     out.valueErrors = r.valueErrors;
-    // Replay engines execute one step per reference; report that as
-    // the point's event count so bench throughput stays meaningful.
-    out.events = r.refs;
     return out;
 }
 
@@ -91,7 +90,6 @@ runTwoMode(const SweepPoint &pt, PolicyKind policy)
     out.networkBits = r.networkBits;
     out.messages = r.messages;
     out.valueErrors = r.valueErrors;
-    out.events = r.refs;
     return out;
 }
 
@@ -109,7 +107,6 @@ runAtomic(const SweepPoint &pt)
     out.networkBits = r.networkBits;
     out.messages = proto.messageCounters().totalCount();
     out.valueErrors = r.valueErrors;
-    out.events = r.refs;
     return out;
 }
 
@@ -164,13 +161,6 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
     cp.metricsWindow = pt.metricsWindow;
     cp.metricsCapacity = pt.metricsCapacity;
     proto::ConcurrentProtocol proto(net, cp);
-    SweepResult out;
-    // The sink captures &out.latencies; out is NRVO'd in place, so
-    // the pointer stays valid for the whole run.
-    proto.setLatencySink(
-        proto::ConcurrentProtocol::LatencySink(
-            [lats = &out.latencies](OpClass c, Tick v)
-            { lats->sample(c, v); }));
     auto stream = makeStream(pt);
     proto::ConcurrentRunResult r = proto.run(stream);
     if (trace_out)
@@ -182,6 +172,7 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
         exportMetricsJsonLines(*metrics_out, proto.metricsRegistry(),
                                proto.metricsWindows(), "concurrent",
                                metrics_label);
+    SweepResult out;
     out.refs = r.refs;
     out.networkBits = r.networkBits;
     out.messages = proto.messageCounters().totalCount();
@@ -189,7 +180,6 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
     out.makespan = r.makespan;
     out.avgReadLatency = r.avgReadLatency;
     out.avgWriteLatency = r.avgWriteLatency;
-    out.events = proto.executedEvents();
     out.homeQueued = proto.counters().homeQueued;
     out.pointerNacks = proto.counters().pointerNacks;
     out.deadlocks = r.deadlocks;
@@ -258,12 +248,6 @@ runPoint(const SweepPoint &pt)
 }
 
 SweepResult
-runPointTraced(const SweepPoint &pt, std::ostream &trace_out)
-{
-    return runPointObserved(pt, &trace_out, nullptr);
-}
-
-SweepResult
 runPointObserved(const SweepPoint &pt, std::ostream *trace_out,
                  std::ostream *metrics_out, const char *metrics_label)
 {
@@ -278,7 +262,7 @@ capturePointObservability(const SweepPoint &pt,
                           const char *metrics_label)
 {
     const char *trace_path = std::getenv("MSCP_TRACE_OUT");
-    const char *metrics_path = metricsOutPath();
+    const char *metrics_path = std::getenv("MSCP_METRICS_OUT");
     if (!trace_path && !metrics_path)
         return false;
 
@@ -303,32 +287,47 @@ capturePointObservability(const SweepPoint &pt,
     return true;
 }
 
-OpLatencies
-mergeLatencies(const std::vector<SweepResult> &results)
-{
-    OpLatencies all;
-    for (const SweepResult &r : results)
-        all.merge(r.latencies);
-    return all;
-}
-
-std::uint64_t
-totalEvents(const std::vector<SweepResult> &results)
-{
-    std::uint64_t events = 0;
-    for (const SweepResult &r : results)
-        events += r.events;
-    return events;
-}
-
 std::vector<SweepResult>
 runSweep(const std::vector<SweepPoint> &points,
          unsigned num_threads)
 {
     std::vector<SweepResult> results(points.size());
+    // Each point's failure is caught where it happens, so the other
+    // points still run and the report below does not depend on
+    // which worker failed first.
+    std::vector<std::optional<std::string>> errors(points.size());
     ThreadPool::parallelFor(
-        points.size(), num_threads,
-        [&](std::size_t i) { results[i] = runPoint(points[i]); });
+        points.size(), num_threads, [&](std::size_t i) {
+            try {
+                results[i] = runPoint(points[i]);
+            } catch (const std::exception &e) {
+                errors[i] = e.what();
+            }
+        });
+
+    std::string report;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!errors[i])
+            continue;
+        const SweepPoint &pt = points[i];
+        const std::string crash = pt.crashNode == invalidNode
+            ? std::string("no crash")
+            : csprintf("crash node %u at tick %llu", pt.crashNode,
+                       static_cast<unsigned long long>(pt.crashTick));
+        report += csprintf(
+            "\n  point %zu (%s, seed %llu, w=%g, tasks %u, ports %u, "
+            "%s): %s",
+            i, engineKindName(pt.engine),
+            static_cast<unsigned long long>(pt.seed), pt.writeFraction,
+            pt.tasks, pt.numPorts, crash.c_str(), errors[i]->c_str());
+        ++failed;
+    }
+    if (failed) {
+        throw std::runtime_error(
+            csprintf("sweep: %zu of %zu points failed:", failed,
+                     points.size()) + report);
+    }
     return results;
 }
 

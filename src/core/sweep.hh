@@ -24,7 +24,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "core/latency.hh"
 #include "core/system.hh"
 #include "sim/pool.hh"
 #include "sim/types.hh"
@@ -119,15 +118,6 @@ struct SweepResult
     Bits networkBits = 0;
     std::uint64_t messages = 0;
     std::uint64_t valueErrors = 0;
-    /**
-     * Discrete simulation steps this point executed: event-queue
-     * events for the event-driven concurrent engine, replayed
-     * references for the atomic engines (each reference is one
-     * step of their replay loop). Never zero for a completed run,
-     * so bench JSON events/events_per_sec stay meaningful for
-     * every engine column.
-     */
-    std::uint64_t events = 0;
     /** @{ concurrent engine only (zero otherwise) */
     Tick makespan = 0;
     double avgReadLatency = 0;
@@ -153,13 +143,6 @@ struct SweepResult
     std::uint64_t recoveryRestarts = 0;
     std::uint64_t refsLost = 0;
     /** @} */
-    /**
-     * Per-operation-class latency histograms (concurrent engine
-     * only; empty otherwise). Pure counter state, so the defaulted
-     * operator== and the thread-count-stability contract both keep
-     * holding; merge across points with mergeLatencies().
-     */
-    OpLatencies latencies;
 
     double
     bitsPerRef() const
@@ -175,15 +158,6 @@ struct SweepResult
 SweepResult runPoint(const SweepPoint &pt);
 
 /**
- * Execute one concurrent-engine point with tracing forced on and
- * write the run's Chrome trace_event JSON (Perfetto-loadable) to
- * @p trace_out afterwards. The SweepResult is identical to
- * runPoint's for the same point: tracing is pure observation.
- */
-SweepResult runPointTraced(const SweepPoint &pt,
-                           std::ostream &trace_out);
-
-/**
  * Execute one concurrent-engine point with any combination of
  * observability exports (either stream may be null):
  *
@@ -191,8 +165,9 @@ SweepResult runPointTraced(const SweepPoint &pt,
  *    metrics counter tracks spliced onto the same timeline when
  *    metrics are on -- one Perfetto view of spans and contention;
  *  - @p metrics_out: the run's window series as JSON Lines
- *    (schema in core/bench_json.hh), each record tagged with
- *    @p metrics_label so multi-run files stay separable.
+ *    (schema at exportMetricsJsonLines in sim/metrics.hh), each
+ *    record tagged with @p metrics_label so multi-run files stay
+ *    separable.
  *
  * Whichever stream is given forces the matching subsystem on. The
  * SweepResult is identical to runPoint's for the same point:
@@ -210,8 +185,8 @@ SweepResult runPointObserved(const SweepPoint &pt,
  * exports; a no-op when neither variable is set, so bench stdout
  * and timing stay untouched. The trace file is truncated (one
  * trace per file); the metrics file is appended (JSON Lines
- * records from several benches may share a trajectory file, told
- * apart by @p metrics_label).
+ * records from several benches may share one file, told apart by
+ * @p metrics_label).
  *
  * @return true iff an observed run happened.
  */
@@ -219,20 +194,16 @@ bool capturePointObservability(const SweepPoint &pt,
                                const char *metrics_label);
 
 /**
- * Merge every point's latency histograms in index order. Plain
- * counter addition: the merged result is bit-identical however the
- * points were scheduled.
- */
-OpLatencies mergeLatencies(const std::vector<SweepResult> &results);
-
-/** Sum of every point's executed simulation steps (bench JSON
- *  events field). */
-std::uint64_t totalEvents(const std::vector<SweepResult> &results);
-
-/**
  * Execute every point, fanned over @p num_threads workers.
  * results[i] corresponds to points[i] and is bit-identical for any
  * thread count.
+ *
+ * A point that throws (a panic or fatal error inside its run) does
+ * not stop the others. Once every point has finished, runSweep
+ * throws one std::runtime_error whose message lists each failed
+ * point in index order -- index, engine, seed, w, tasks, ports,
+ * crash schedule and the error text -- so the report is the same
+ * for any thread count.
  *
  * Threading knobs are orthogonal: MSCP_THREADS (ThreadPool) fans
  * independent points across workers, while MSCP_PDES_THREADS

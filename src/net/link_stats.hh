@@ -85,6 +85,9 @@ class LinkStats
     /** Zero every counter. */
     void reset();
 
+    /** Same shape and the same bits on every link. */
+    bool operator==(const LinkStats &) const = default;
+
   private:
     std::size_t
     index(unsigned level, unsigned line) const

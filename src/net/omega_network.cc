@@ -336,18 +336,8 @@ OmegaNetwork::multicastCombined(NodeId src,
         return RouteResult{std::vector<Bits>(topo.numLinkLevels(), 0),
                            0, 0, {}, 0, Scheme::Combined};
 
-    SchemeCosts costs = schemeCosts(src, dests, payload_bits);
-    Scheme chosen = Scheme::Unicasts;
-    Bits best = costs.scheme1;
-    if (costs.scheme2 < best) {
-        chosen = Scheme::VectorRouting;
-        best = costs.scheme2;
-    }
-    if (costs.scheme3 < best)
-        chosen = Scheme::BroadcastTag;
-
-    RouteResult r = multicast(chosen, src, dests, payload_bits);
-    return r;
+    return multicast(schemeCosts(src, dests, payload_bits).cheapest(),
+                     src, dests, payload_bits);
 }
 
 // ---------------------------------------------------------------
@@ -526,12 +516,11 @@ OmegaNetwork::multicastCommit(Scheme scheme, NodeId src,
         return commitScheme3(src, Subcube::enclosing(dests),
                              payload_bits);
       case Scheme::Combined: {
-        SchemeCosts costs = schemeCosts(src, dests, payload_bits);
-        if (costs.scheme1 <= costs.scheme2 &&
-            costs.scheme1 <= costs.scheme3) {
+        const Scheme chosen =
+            schemeCosts(src, dests, payload_bits).cheapest();
+        if (chosen == Scheme::Unicasts)
             return commitScheme1(src, dests, payload_bits);
-        }
-        if (costs.scheme2 <= costs.scheme3) {
+        if (chosen == Scheme::VectorRouting) {
             // scratchVector still holds dests from schemeCosts().
             return commitScheme2(src, payload_bits);
         }

@@ -122,6 +122,17 @@ class OmegaNetwork
         Bits scheme1;
         Bits scheme2;
         Bits scheme3;
+
+        /** The eq. 8 choice: the cheapest scheme, ties toward the
+         *  lower scheme number. */
+        Scheme
+        cheapest() const
+        {
+            if (scheme1 <= scheme2 && scheme1 <= scheme3)
+                return Scheme::Unicasts;
+            return scheme2 <= scheme3 ? Scheme::VectorRouting
+                                      : Scheme::BroadcastTag;
+        }
     };
 
     /**

@@ -151,23 +151,12 @@ TimedNetwork::sendMulticast(Scheme scheme, NodeId src,
                                  payload_bits);
         }
         break;
-      case Scheme::Combined: {
+      case Scheme::Combined:
         if (dests.empty())
             break;
-        // Same selection rule as OmegaNetwork::multicastCombined:
-        // cheapest total bits, ties toward the lower scheme number.
-        auto costs = net.schemeCosts(src, dests, payload_bits);
-        Scheme chosen = Scheme::Unicasts;
-        Bits best = costs.scheme1;
-        if (costs.scheme2 < best) {
-            chosen = Scheme::VectorRouting;
-            best = costs.scheme2;
-        }
-        if (costs.scheme3 < best)
-            chosen = Scheme::BroadcastTag;
-        return sendMulticast(chosen, src, dests, payload_bits,
-                             on_delivery);
-      }
+        return sendMulticast(
+            net.schemeCosts(src, dests, payload_bits).cheapest(), src,
+            dests, payload_bits, on_delivery);
     }
     return send(traceScratch, on_delivery);
 }

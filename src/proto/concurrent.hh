@@ -205,9 +205,8 @@ class ConcurrentProtocol
     /**
      * Per-completion latency sink: (operation class, latency in
      * ticks). An inline trivially-copyable callable so attaching
-     * one adds no allocation to the completion path; the sweep
-     * layer feeds it into a core::OpLatencies histogram set (the
-     * engine itself stays independent of the core library).
+     * one adds no allocation to the completion path; the benchmark
+     * (perfbench/) collects its latency percentiles through it.
      */
     using LatencySink = InlineCallback<OpClass, Tick>;
 

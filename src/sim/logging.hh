@@ -24,6 +24,7 @@
 #define MSCP_SIM_LOGGING_HH
 
 #include <cstdarg>
+#include <stdexcept>
 #include <string>
 
 namespace mscp
@@ -85,15 +86,27 @@ void informImpl(const char *fmt, ...)
 void setLoggingThrows(bool throws);
 bool loggingThrows();
 
-/** Exception thrown by panic() when setLoggingThrows(true). */
-struct PanicError
+/**
+ * Exception thrown by panic() when setLoggingThrows(true). A
+ * std::exception, so what() carries the text to any generic handler
+ * (std::terminate prints it; runSweep names the failed point with it).
+ */
+struct PanicError : std::runtime_error
 {
+    explicit PanicError(const std::string &msg)
+        : std::runtime_error(msg), message(msg)
+    {}
+
     std::string message;
 };
 
 /** Exception thrown by fatal() when setLoggingThrows(true). */
-struct FatalError
+struct FatalError : std::runtime_error
 {
+    explicit FatalError(const std::string &msg)
+        : std::runtime_error(msg), message(msg)
+    {}
+
     std::string message;
 };
 

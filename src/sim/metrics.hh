@@ -448,16 +448,20 @@ std::vector<MetricsWindow>
 mergeMetricWindows(const std::vector<const MetricsSampler *> &samplers);
 
 /**
- * Append one JSON Lines record per window to @p os:
+ * Append one JSON Lines record per window to @p os. This is the
+ * format the benches write to $MSCP_METRICS_OUT and
+ * tools/mscp_report.py reads:
  *
  *   {"metrics":"<source>","label":"<label>","window":K,
- *    "end_tick":T,"series":{"name":V,...,"hist":[...],
- *    "grid":[[...],...]}}
+ *    "end_tick":T,"series":{"<name>":<value>,...}}
  *
- * Counter / Histogram / Grid values are per-window deltas (the
- * cumulative snapshots are differenced at export); Gauge values
- * are the sampled levels. The full schema is documented in
- * core/bench_json.hh.
+ * where <source> names the engine ("concurrent", "pdes"), <label>
+ * separates runs sharing a file, K is the window index (ticks
+ * [K*W, (K+1)*W) for window width W) and end_tick the first tick
+ * NOT covered. A <value> is a number (Counter: per-window delta;
+ * Gauge: sampled level), a 16-element log2-bucket array (Histogram
+ * delta) or a row-major array of arrays (Grid delta); deltas are
+ * the cumulative snapshots differenced at export.
  */
 void exportMetricsJsonLines(std::ostream &os,
                             const MetricsRegistry &reg,

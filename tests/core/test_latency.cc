@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the HDR-style latency histograms: bucket boundary
  * math across the full 64-bit range, percentile semantics, and the
- * order-independent merge the sweep layer's thread-count-stability
- * contract relies on (same pattern as tests/core/test_sweep.cc).
+ * order-independent merge the sharded PDES engine's determinism
+ * contract relies on (tests/timed/test_pdes_traffic.cc).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/latency.hh"
-#include "core/sweep.hh"
 
 using namespace mscp;
 using core::LatencyHistogram;
@@ -178,33 +177,4 @@ TEST(OpLatencies, PerClassAccountingAndMerge)
     OpLatencies ba = b;
     ba.merge(a);
     EXPECT_EQ(ab, ba);
-}
-
-TEST(OpLatencies, SweepHistogramsStableAcrossThreadCounts)
-{
-    // The sweep contract extended to the histograms: the same
-    // concurrent-engine grid must produce bit-identical per-point
-    // latency state for any worker count.
-    std::vector<core::SweepPoint> points;
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        core::SweepPoint pt;
-        pt.engine = core::EngineKind::Concurrent;
-        pt.numPorts = 8;
-        pt.tasks = 4;
-        pt.numBlocks = 2;
-        pt.writeFraction = 0.3;
-        pt.numRefs = 800;
-        pt.seed = seed;
-        points.push_back(pt);
-    }
-
-    auto serial = core::runSweep(points, 1);
-    auto threaded = core::runSweep(points, 3);
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i], threaded[i]) << "point " << i;
-        EXPECT_GT(serial[i].latencies.totalCount(), 0u);
-    }
-    EXPECT_EQ(core::mergeLatencies(serial),
-              core::mergeLatencies(threaded));
 }

@@ -2,12 +2,14 @@
  * @file
  * Tests for the parallel sweep runner: the result vector must be
  * bit-identical for any thread count (the determinism contract the
- * benches rely on), and runPoint must agree with runSweep.
+ * benches rely on), runPoint must agree with runSweep, and a failed
+ * point must be named the same way for any thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,27 +94,35 @@ TEST(Sweep, RepeatedRunsAreReproducible)
     EXPECT_GT(a.refs, 0u);
     EXPECT_GT(a.networkBits, 0u);
     EXPECT_EQ(a.valueErrors, 0u);
-    EXPECT_GT(a.events, 0u);
     EXPECT_GT(a.makespan, 0u);
 }
 
-TEST(Sweep, EveryEngineReportsEvents)
+TEST(Sweep, FailedPointIsNamedForAnyThreadCount)
 {
-    // Replay engines count one step per reference; the event-driven
-    // engine counts queue events. Either way events must be nonzero
-    // so bench events/sec stays meaningful for every column, and
-    // totalEvents() must be the plain sum.
+    // A 3-port omega network is a fatal configuration error. The
+    // sweep still runs every other point, then throws one error
+    // naming the failed point; the text is the same for 1 and 4
+    // threads.
     auto points = mixedGrid();
-    auto results = core::runSweep(points, 2);
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_GT(results[i].events, 0u)
-            << core::engineKindName(points[i].engine);
-        EXPECT_GE(results[i].events, results[i].refs);
-        sum += results[i].events;
+    points[5].numPorts = 3;
+    std::string what[2];
+    const unsigned threads[2] = {1, 4};
+    for (int t = 0; t < 2; ++t) {
+        try {
+            core::runSweep(points, threads[t]);
+            ADD_FAILURE() << "runSweep did not throw";
+        } catch (const std::runtime_error &e) {
+            what[t] = e.what();
+        }
     }
-    EXPECT_EQ(core::totalEvents(results), sum);
-    EXPECT_GT(sum, 0u);
+    EXPECT_EQ(what[0], what[1]);
+    EXPECT_NE(what[0].find("1 of 18 points failed"), std::string::npos)
+        << what[0];
+    EXPECT_NE(what[0].find("point 5 (full-map, seed 7, w=0.5, tasks 4, "
+                           "ports 3, no crash): fatal: omega network "
+                           "needs a power-of-two port count"),
+              std::string::npos)
+        << what[0];
 }
 
 TEST(Sweep, DifferentSeedsDiverge)

@@ -10,6 +10,7 @@
 
 #include "analytic/multicast_cost.hh"
 #include "net/omega_network.hh"
+#include "net/timed_network.hh"
 #include "sim/random.hh"
 
 using namespace mscp;
@@ -138,20 +139,40 @@ TEST(CostMatch, SourceDoesNotChangeCost)
 
 TEST(CostMatch, CombinedPicksTheMinimum)
 {
-    unsigned N = 256;
-    OmegaNetwork net(N);
-    Random rng(99);
-    for (int trial = 0; trial < 100; ++trial) {
-        auto k = static_cast<std::uint32_t>(rng.uniform(1, 64));
-        auto set32 = rng.sampleWithoutReplacement(N, k);
-        std::vector<NodeId> dests(set32.begin(), set32.end());
-        auto costs = net.evaluateAllSchemes(0, dests, 20);
+    // Every Combined path -- multicastCombined, the committed fast
+    // path and the timed layer -- makes the same eq. 8 choice: the
+    // minimum cost, with identical bits on identical links.
+    auto check = [](unsigned N, const std::vector<NodeId> &dests,
+                    Bits payload) {
+        auto costs = OmegaNetwork(N).evaluateAllSchemes(0, dests, payload);
         Bits best = std::min({costs[0].totalBits, costs[1].totalBits,
                               costs[2].totalBits});
         OmegaNetwork fresh(N);
-        auto r = fresh.multicastCombined(0, dests, 20);
+        auto r = fresh.multicastCombined(0, dests, payload);
         EXPECT_EQ(r.totalBits, best);
+
+        OmegaNetwork committed(N);
+        EXPECT_EQ(committed.multicastCommit(Scheme::Combined, 0, dests,
+                                            payload),
+                  best);
+        EXPECT_EQ(committed.linkStats(), fresh.linkStats());
+        OmegaNetwork viaTimed(N);
+        EventQueue eq;
+        TimedNetwork tn(viaTimed, eq);
+        tn.sendMulticast(Scheme::Combined, 0, dests, payload, {});
+        EXPECT_EQ(viaTimed.linkStats(), fresh.linkStats());
+        return r.used;
+    };
+
+    Random rng(99);
+    for (int trial = 0; trial < 100; ++trial) {
+        auto k = static_cast<std::uint32_t>(rng.uniform(1, 64));
+        auto set32 = rng.sampleWithoutReplacement(256, k);
+        check(256, std::vector<NodeId>(set32.begin(), set32.end()), 20);
     }
+    // A tie: schemes 1 and 3 both cost 270 bits but load different
+    // links. It goes to the lower scheme on every path.
+    EXPECT_EQ(check(32, {11, 27}, 20), Scheme::Unicasts);
 }
 
 TEST(CostMatch, Scheme2NeverWorseThanItsWorstCase)

@@ -2,8 +2,8 @@
 """Terminal reporter for MSCP windowed-metrics JSON Lines.
 
 Reads the file(s) written through $MSCP_METRICS_OUT (one JSON object
-per window; schema in src/core/bench_json.hh) and prints, per
-(source, label) run:
+per window; schema at exportMetricsJsonLines in src/sim/metrics.hh)
+and prints, per (source, label) run:
 
  - a per-window table of the scalar series (counters are already
    per-window deltas at export time, gauges are levels);
