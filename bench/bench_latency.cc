@@ -80,7 +80,7 @@ run(cache::Mode mode, double w, Bits link_width)
     try {
         res = engine.run(stream);
     } catch (const PanicError &e) {
-        fail(mode, w, link_width, e.message);
+        fail(mode, w, link_width, e.what());
     }
     if (res.valueErrors)
         fail(mode, w, link_width,
@@ -90,18 +90,7 @@ run(cache::Mode mode, double w, Bits link_width)
     if (res.deadlocks)
         fail(mode, w, link_width, engine.deadlockReport());
 
-    proto::SystemView v;
-    v.numCaches = engine.numCaches();
-    v.cacheArray = [&engine](NodeId c) -> const cache::CacheArray & {
-        return engine.cacheArray(c);
-    };
-    v.memoryModule = [&engine](unsigned i)
-        -> const mem::MemoryModule & {
-        return engine.memoryModule(i);
-    };
-    v.homeOf = [&engine](BlockId b) { return engine.homeOf(b); };
-    v.isQuiescent = [&engine] { return engine.isQuiescent(); };
-    auto errs = proto::checkInvariants(v);
+    auto errs = proto::checkInvariants(proto::viewOf(engine));
     if (!errs.empty())
         fail(mode, w, link_width, errs.front());
     return res;

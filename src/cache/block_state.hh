@@ -139,6 +139,8 @@ struct StateField
 
     /** Human-readable dump for debugging. */
     std::string toString() const;
+
+    bool operator==(const StateField &) const = default;
 };
 
 } // namespace mscp::cache

@@ -194,28 +194,9 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
     out.crashMasked = proto.faultCounters().totalCrashMasked();
     out.recoveryRestarts = proto.counters().recoveryRestarts;
     out.refsLost = r.refsLost;
-    if (pt.checkEndState && out.deadlocks == 0) {
-        proto::SystemView v;
-        v.numCaches = proto.numCaches();
-        v.cacheArray = [&proto](NodeId c)
-            -> const cache::CacheArray & {
-            return proto.cacheArray(c);
-        };
-        v.memoryModule = [&proto](unsigned i)
-            -> const mem::MemoryModule & {
-            return proto.memoryModule(i);
-        };
-        v.homeOf = [&proto](BlockId b) {
-            return proto.homeOf(b);
-        };
-        v.isLive = [&proto](NodeId c) {
-            return proto.isLive(c);
-        };
-        v.isQuiescent = [&proto]() {
-            return proto.isQuiescent();
-        };
-        out.invariantErrors = proto::checkInvariants(v).size();
-    }
+    if (pt.checkEndState && out.deadlocks == 0)
+        out.invariantErrors =
+            proto::checkInvariants(proto::viewOf(proto)).size();
     return out;
 }
 

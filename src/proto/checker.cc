@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "proto/concurrent.hh"
 #include "sim/logging.hh"
 
 namespace mscp::proto
@@ -36,6 +37,24 @@ checkInvariants(const StenstromProtocol &proto)
         };
     view.homeOf = [&proto](BlockId b) { return proto.homeOf(b); };
     return checkInvariants(view);
+}
+
+SystemView
+viewOf(const ConcurrentProtocol &proto)
+{
+    SystemView view;
+    view.numCaches = proto.numCaches();
+    view.cacheArray = [&proto](NodeId c) -> const cache::CacheArray & {
+        return proto.cacheArray(c);
+    };
+    view.memoryModule =
+        [&proto](unsigned i) -> const mem::MemoryModule & {
+            return proto.memoryModule(i);
+        };
+    view.homeOf = [&proto](BlockId b) { return proto.homeOf(b); };
+    view.isLive = [&proto](NodeId c) { return proto.isLive(c); };
+    view.isQuiescent = [&proto] { return proto.isQuiescent(); };
+    return view;
 }
 
 std::vector<std::string>

@@ -53,6 +53,8 @@
 namespace mscp::proto
 {
 
+class ConcurrentProtocol;
+
 /**
  * Engine-agnostic view of a two-mode-protocol system's state, so
  * the same invariants verify the atomic and the concurrent engine.
@@ -92,6 +94,14 @@ std::vector<std::string> checkInvariants(const SystemView &view);
 /** Convenience overload for the atomic engine. */
 std::vector<std::string> checkInvariants(
     const StenstromProtocol &proto);
+
+/**
+ * View of the concurrent engine with every structural hook set:
+ * caches, modules, home mapping, liveness and quiescence (the data
+ * oracle and block universe stay unset). The view refers to
+ * @p proto, which must outlive it.
+ */
+SystemView viewOf(const ConcurrentProtocol &proto);
 
 } // namespace mscp::proto
 

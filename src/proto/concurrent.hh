@@ -294,7 +294,7 @@ class ConcurrentProtocol
         if (refsOutstanding != 0)
             return false;
         for (const HomeState &h : homes)
-            if (!h.busy.empty())
+            if (!h.busyToken.empty())
                 return false;
         return true;
     }
@@ -341,9 +341,12 @@ class ConcurrentProtocol
          * period - stale or duplicated releases carry a dead token.
          */
         std::uint64_t tok = 0;
-        bool flag = false;       ///< multi-purpose (e.g. modified)
-        cache::StateField field; ///< state transfers
-        std::vector<std::uint64_t> data; ///< block payloads
+        bool flag = false;         ///< multi-purpose (e.g. modified)
+        cache::StateField field{}; ///< state transfers
+        std::vector<std::uint64_t> data{}; ///< block payloads
+
+        /** Field-wise; the checker's duplicate folding uses it. */
+        bool operator==(const Msg &) const = default;
     };
 
     /** Phases of a processor's outstanding transaction. */
@@ -486,14 +489,14 @@ class ConcurrentProtocol
         {}
 
         mem::MemoryModule mem;
-        FlatSet<BlockId> busy;
         FlatMap<BlockId, std::deque<Msg>> waiting;
         /** @{ robustness: duplicate suppression + busy matching */
         /** Highest request seq accepted per requester; lower or
          *  equal arrivals are duplicates/superseded retries. */
         FlatMap<NodeId, std::uint64_t> seqSeen;
-        /** Token identifying the transaction each busy block is
-         *  serving; only the matching Unblock/EvictDone releases. */
+        /** Token of each busy block's busy period (the key set is
+         *  the set of busy blocks); only the Unblock/EvictDone
+         *  carrying it releases the period. */
         FlatMap<BlockId, std::uint64_t> busyToken;
         std::uint64_t busyTokenGen = 0;
         /** @} */
@@ -536,16 +539,27 @@ class ConcurrentProtocol
         std::uint32_t nextFree = NoSlot;
     };
 
-    /** @{ message plumbing */
+    // Each member group below names the translation unit that
+    // defines it (one per concern; map in DESIGN.md 5b).
+
+    /** @{ message plumbing, dispatch and run loop (concurrent.cc) */
     void send(Msg m);
     void sendMulticastMsg(MsgType t, NodeId src,
                           const std::vector<NodeId> &dests,
                           Bits payload, BlockId blk, unsigned offset,
                           std::uint64_t value, NodeId aux_owner);
+    /** A bare ack/nack: endpoints, block and an echoed seq only. */
+    void sendAck(MsgType t, NodeId src, NodeId dst, BlockId blk,
+                 std::uint64_t seq = 0);
     void deliver(const Msg &m);
+    /** Route a delivery to its concern's handler. */
+    void handleCacheMsg(const Msg &m);
+    void handleMemMsg(const Msg &m);
     Bits payloadBits(const Msg &m) const;
     std::uint32_t allocSlot(Msg &&m);
     void releaseSlot(std::uint32_t slot);
+    /** Refcount @p slot by the network's delivery tally. */
+    void adoptDeliveries(std::uint32_t slot);
     /** Deliver slot contents to @p dst; frees on last delivery. */
     void deliverSlot(std::uint32_t slot, NodeId dst);
     /** Self/local delivery after @p delay ticks (no network). */
@@ -554,37 +568,81 @@ class ConcurrentProtocol
      *  vControlled): parks the message in vPending, folding exact
      *  duplicates when vDedupSends is set. */
     void vBuffer(Msg m);
+    Entry *findEntry(NodeId cpu, BlockId blk);
+    /**
+     * Present-vector members other than @p self, in a reusable
+     * scratch vector. Valid until the next call; the engine is
+     * strictly single-threaded and callers consume the list before
+     * any code path that could refill it.
+     */
+    const std::vector<NodeId> &othersPresent(const Entry &e,
+                                             NodeId self);
+    void maybeExclusive(Entry &e, NodeId self);
     /** @} */
 
-    /** @{ cpu-side transaction steps */
+    /** @{ request path and cache-side serves (concurrent_request.cc) */
     void issueNext(NodeId cpu);
     void startAccess(NodeId cpu);
     void performOwnedWrite(NodeId cpu);
     void completeRef(NodeId cpu);
     void beginMissRequest(NodeId cpu, BlockId blk);
-    bool allocateForMiss(NodeId cpu, BlockId blk);
-    void continueEviction(NodeId cpu);
-    void sendNextOffer(NodeId cpu);
-    void finishEviction(NodeId cpu, bool clear_owner,
-                        bool write_back);
-    /** @} */
-
-    /** @{ cache-side message handlers */
-    void handleCacheMsg(const Msg &m);
+    /** Send a fresh-seq request to @p blk's home (or @p owner, for a
+     *  pointer-bypass read), keep it for retry, arm the timeout. */
+    void sendRequest(NodeId cpu, MsgType t, BlockId blk,
+                     unsigned offset = 0, NodeId owner = invalidNode);
+    /** Enter Commit; completion follows a hit latency later. */
+    void scheduleCommit(NodeId cpu);
+    /** Re-run startAccess after @p delay ticks. */
+    void deferAccess(NodeId cpu, Tick delay);
+    void handleRequestMsg(const Msg &m);
     void serveForward(const Msg &m);
+    /** Owner @p e serves a LoadFwd or pointer-bypass LoadReq. */
+    void serveRead(NodeId me, Entry &e, const Msg &m);
+    /** Release the busy period reply @p m was served under, if any;
+     *  @p owner asks the home to register @p requester. */
+    void sendUnblock(NodeId me, const Msg &m, NodeId requester,
+                     bool owner);
     /** Discard a duplicate/superseded reply, releasing any busy
      *  period it was served under and undoing its registration in
      *  the owner's present vector when no entry backs it. */
     void dropStaleReply(const Msg &m);
     /** @} */
 
-    /** @{ memory-side message handlers */
-    void handleMemMsg(const Msg &m);
-    void processHomeRequest(HomeState &h, const Msg &m);
-    void drainHomeQueue(HomeState &h, BlockId blk);
+    /** @{ ownership and eviction (concurrent_evict.cc) */
+    bool allocateForMiss(NodeId cpu, BlockId blk);
+    void continueEviction(NodeId cpu);
+    void sendNextOffer(NodeId cpu);
+    void finishEviction(NodeId cpu, bool clear_owner,
+                        bool write_back);
+    /** Close the eviction span and leave the eviction phase. */
+    void endEviction(NodeId cpu);
+    /** The EvictDone releasing eviction busy period @p tok. */
+    Msg evictDone(NodeId cpu, BlockId blk, std::uint64_t tok,
+                  bool clear_owner);
+    /** Leave @p blk's present vector; reacquire only once acked. */
+    void sendPresentClear(NodeId cpu, BlockId blk);
+    /** Tell @p field's other pointer holders @p owner owns @p blk. */
+    void announceOwner(NodeId from, const cache::StateField &field,
+                       BlockId blk, NodeId owner);
+    void expectAcks(CpuState &cs, const std::vector<NodeId> &from);
+    /** Count one ack; the last completes the write or eviction. */
+    void takeAck(NodeId cpu, NodeId from);
+    void handleOwnershipMsg(const Msg &m);
     /** @} */
 
-    /** @{ observability */
+    /** @{ home directory (concurrent_home.cc) */
+    void handleHomeMsg(HomeState &h, const Msg &m);
+    void processHomeRequest(HomeState &h, const Msg &m);
+    void drainHomeQueue(HomeState &h, BlockId blk);
+    /** Mint @p blk's busy period and return its token; a crash plan
+     *  also records @p releaser (invalidNode: none) and its tick. */
+    std::uint64_t openBusy(HomeState &h, BlockId blk,
+                           NodeId releaser);
+    /** End @p blk's busy period and serve what queued behind it. */
+    void closeBusy(HomeState &h, BlockId blk);
+    /** @} */
+
+    /** @{ observability (concurrent.cc) */
     /** Append one trace record stamped with the current tick. */
     void trace(TraceEvent ev, NodeId node, NodeId node2,
                std::uint8_t cls, std::uint64_t seq,
@@ -595,8 +653,6 @@ class ConcurrentProtocol
                        static_cast<std::uint16_t>(node2), cls, seq,
                        arg);
     }
-    /** Close an eviction handshake span and sample its latency. */
-    void endEviction(NodeId cpu);
 
     /** Handles of the engine's metric series (see registerMetrics
      *  for the schema). */
@@ -629,7 +685,13 @@ class ConcurrentProtocol
     void metricsProbe();
     /** @} */
 
-    /** @{ robustness: timeouts, retry, watchdog */
+    /** @{ linearizability monitor (concurrent.cc) */
+    void monitorWritePending(Addr a, std::uint64_t v);
+    void monitorWriteComplete(Addr a, std::uint64_t v);
+    void checkReadSample(Addr a, std::uint64_t v);
+    /** @} */
+
+    /** @{ timeouts, retry, watchdog (concurrent_hardening.cc) */
     /** Delivery-fault class of a message type. */
     static FaultClass classOf(MsgType t);
     /** Human-readable phase name for diagnostics. */
@@ -643,9 +705,9 @@ class ConcurrentProtocol
     std::string buildDeadlockReport(const std::vector<NodeId> &dead);
     /** @} */
 
-    /** @{ crash-stop faults and directory reconstruction */
+    /** @{ crash-stop faults and directory reconstruction
+     *  (concurrent_recovery.cc) */
     bool crashEnabled() const { return params.crashPlan.enabled(); }
-    bool isDead(NodeId n) const { return deadNodes.test(n); }
     /** Kill a cache controller: wipe its state, stop its stream,
      *  and let every survivor's failure detector observe it. */
     void crashNode(NodeId n, Tick restart_tick);
@@ -664,24 +726,11 @@ class ConcurrentProtocol
      *  already landed for the same address. */
     void applyDurableWord(HomeState &h, BlockId blk, unsigned off,
                           std::uint64_t value, Tick stamp);
+    /** Restart hint to @p r: the block it waited on was rebuilt. */
+    void sendRecoveryNack(HomeState &h, NodeId r, BlockId blk);
+    void handleRecoveryMsg(const Msg &m);
+    void handleHomeRecoveryMsg(HomeState &h, const Msg &m);
     /** @} */
-
-    /** @{ linearizability monitor */
-    void monitorWritePending(Addr a, std::uint64_t v);
-    void monitorWriteComplete(Addr a, std::uint64_t v);
-    void checkReadSample(Addr a, std::uint64_t v);
-    /** @} */
-
-    Entry *findEntry(NodeId cpu, BlockId blk);
-    /**
-     * Present-vector members other than @p self, in a reusable
-     * scratch vector. Valid until the next call; the engine is
-     * strictly single-threaded and callers consume the list before
-     * any code path that could refill it.
-     */
-    const std::vector<NodeId> &othersPresent(const Entry &e,
-                                             NodeId self);
-    void maybeExclusive(Entry &e, NodeId self);
 
     ConcurrentParams params;
     ConcurrentCounters ctrs;

@@ -1,0 +1,379 @@
+/**
+ * @file
+ * ConcurrentProtocol ownership and eviction: victim allocation,
+ * the EvictReq/EvictAck handshake, ownership hand-off offers with
+ * their invalidation fallback, owner announcements, present-flag
+ * clears and acknowledgement collection.
+ */
+
+#include "concurrent.hh"
+
+#include "sim/logging.hh"
+
+namespace mscp::proto
+{
+
+bool
+ConcurrentProtocol::allocateForMiss(NodeId cpu, BlockId blk)
+{
+    CpuState &cs = cpus[cpu];
+    if (Entry *e = cs.array.find(blk)) {
+        cs.array.touch(*e);
+        cs.pinnedTx.insert(blk);
+        return true;
+    }
+    Entry *victim = cs.array.pickVictimFiltered(
+        blk, [&cs](const Entry &e) {
+            return !cs.isPinned(e.block);
+        });
+    if (!victim) {
+        // Every way pinned by in-flight work: retry shortly.
+        deferAccess(cpu, 10);
+        return false;
+    }
+    if (!victim->occupied) {
+        cs.array.install(*victim, blk);
+        cs.pinnedTx.insert(blk);
+        return true;
+    }
+
+    // Eviction needed.
+    ++ctrs.evictions;
+    cs.evicting = true;
+    cs.victimBlk = victim->block;
+    switch (victim->field.state) {
+      case State::UnOwned:
+      case State::Invalid:
+        // Fire-and-forget present-flag clear via the home.
+        sendPresentClear(cpu, cs.victimBlk);
+        cs.array.evict(*victim);
+        cs.evicting = false;
+        cs.array.install(*cs.array.pickVictim(blk), blk);
+        cs.pinnedTx.insert(blk);
+        return true;
+      default:
+        // Owned victim: serialize the eviction with the home.
+        cs.phase = Phase::WaitEvictAck;
+        cs.evictStartTick = eq.curTick();
+        trace(TraceEvent::EvictStart, cpu, homeOf(cs.victimBlk), 0,
+              cs.opId, cs.victimBlk);
+        sendRequest(cpu, MsgType::EvictReq, cs.victimBlk);
+        return false;
+    }
+}
+
+void
+ConcurrentProtocol::endEviction(NodeId cpu)
+{
+    CpuState &cs = cpus[cpu];
+    Tick lat = eq.curTick() - cs.evictStartTick;
+    if (latSink)
+        latSink(OpClass::Eviction, lat);
+    trace(TraceEvent::EvictEnd, cpu, cpu,
+          static_cast<std::uint8_t>(OpClass::Eviction), cs.opId,
+          lat);
+    cs.evicting = false;
+    cs.phase = Phase::Idle;
+}
+
+void
+ConcurrentProtocol::continueEviction(NodeId cpu)
+{
+    CpuState &cs = cpus[cpu];
+    Entry *ve = findEntry(cpu, cs.victimBlk);
+    if (!ve) {
+        // The victim was invalidated while the eviction waited in
+        // the home's queue (an all-nack fallback elsewhere):
+        // nothing to hand over, just release the busy period.
+        send(evictDone(cpu, cs.victimBlk, cs.evictToken, false));
+        endEviction(cpu);
+        startAccess(cpu);
+        return;
+    }
+
+    switch (ve->field.state) {
+      case State::OwnedExclDW:
+      case State::OwnedExclGR:
+        finishEviction(cpu, true, ve->field.modified);
+        break;
+      case State::OwnedNonExclDW:
+      case State::OwnedNonExclGR:
+        ++ctrs.handoffs;
+        cs.candidates = othersPresent(*ve, cpu);
+        cs.candIdx = 0;
+        cs.phase = Phase::WaitOffer;
+        sendNextOffer(cpu);
+        break;
+      default:
+        // Lost ownership while the eviction was queued: the entry
+        // is now UnOwned/Invalid; release the busy and notify.
+        sendPresentClear(cpu, cs.victimBlk);
+        finishEviction(cpu, false, false);
+        break;
+    }
+}
+
+void
+ConcurrentProtocol::sendNextOffer(NodeId cpu)
+{
+    CpuState &cs = cpus[cpu];
+    Entry *ve = findEntry(cpu, cs.victimBlk);
+    panic_if(!ve, "offer for a vanished victim");
+
+    if (crashEnabled()) {
+        // Never offer ownership to a dead node: the offer would
+        // sink and the hand-off would spin on timeouts.
+        while (cs.candIdx < cs.candidates.size() &&
+               deadNodes.test(cs.candidates[cs.candIdx]))
+            ++cs.candIdx;
+    }
+
+    if (cs.candIdx >= cs.candidates.size()) {
+        // Everyone declined: invalidate the remaining copies, then
+        // write back and clear the block store (terminal rule).
+        const auto &dests = othersPresent(*ve, cpu);
+        if (dests.empty()) {
+            finishEviction(cpu, true, ve->field.modified);
+            return;
+        }
+        ++ctrs.handoffFallbacks;
+        expectAcks(cs, dests);
+        cs.phase = Phase::WaitInvalAcks;
+        sendMulticastMsg(MsgType::Invalidate, cpu, dests, 0,
+                         cs.victimBlk, 0, 0, cpu);
+        armTimeout(cpu);
+        return;
+    }
+
+    send({.type = MsgType::OfferOwner, .src = cpu,
+          .dst = cs.candidates[cs.candIdx], .blk = cs.victimBlk,
+          .requester = cpu});
+    armTimeout(cpu);
+}
+
+void
+ConcurrentProtocol::finishEviction(NodeId cpu, bool clear_owner,
+                                   bool write_back)
+{
+    CpuState &cs = cpus[cpu];
+    Entry *ve = findEntry(cpu, cs.victimBlk);
+    panic_if(!ve, "finishing eviction without a victim");
+
+    Msg m = evictDone(cpu, cs.victimBlk, cs.evictToken, clear_owner);
+    if (write_back) {
+        m.data = ve->data;
+        ++ctrs.writeBacks;
+    }
+    if (crashEnabled()) {
+        // Stamp the write-back so it cannot clobber a fresher
+        // durable word at the home (see applyDurableWord).
+        m.seq = eq.curTick();
+    }
+    send(std::move(m));
+
+    cs.array.evict(*ve);
+    endEviction(cpu);
+    // Resume the original access from scratch.
+    startAccess(cpu);
+}
+
+ConcurrentProtocol::Msg
+ConcurrentProtocol::evictDone(NodeId cpu, BlockId blk,
+                              std::uint64_t tok, bool clear_owner)
+{
+    return {.type = MsgType::EvictDone, .src = cpu,
+            .dst = homeOf(blk), .toMemory = true, .blk = blk,
+            .tok = tok, .flag = clear_owner};
+}
+
+void
+ConcurrentProtocol::sendPresentClear(NodeId cpu, BlockId blk)
+{
+    send({.type = MsgType::PresentClear, .src = cpu,
+          .dst = homeOf(blk), .toMemory = true, .blk = blk,
+          .requester = cpu});
+    cpus[cpu].clearPending.insert(blk);
+}
+
+void
+ConcurrentProtocol::announceOwner(NodeId from,
+                                  const cache::StateField &field,
+                                  BlockId blk, NodeId owner)
+{
+    announceScratch.clear();
+    const DynamicBitset &p = field.present;
+    for (std::size_t i = p.findFirst(); i < p.size();
+         i = p.findNext(i)) {
+        if (i != owner && i != from)
+            announceScratch.push_back(static_cast<NodeId>(i));
+    }
+    sendMulticastMsg(MsgType::OwnerAnnounce, from, announceScratch,
+                     params.sizes.ownerIdPayload(numCaches()), blk, 0,
+                     owner, owner);
+}
+
+void
+ConcurrentProtocol::expectAcks(CpuState &cs,
+                               const std::vector<NodeId> &from)
+{
+    cs.ackFrom.clear();
+    for (NodeId d : from)
+        cs.ackFrom.set(d);
+    cs.pendingAcks = static_cast<unsigned>(from.size());
+}
+
+void
+ConcurrentProtocol::takeAck(NodeId cpu, NodeId from)
+{
+    CpuState &cs = cpus[cpu];
+    cs.ackFrom.reset(from);
+    if (--cs.pendingAcks != 0)
+        return;
+    if (cs.phase == Phase::WaitDwAcks) {
+        completeRef(cpu);
+    } else {
+        Entry *ve = findEntry(cpu, cs.victimBlk);
+        finishEviction(cpu, true, ve && ve->field.modified);
+    }
+}
+
+void
+ConcurrentProtocol::handleOwnershipMsg(const Msg &m)
+{
+    NodeId me = m.dst;
+    CpuState &cs = cpus[me];
+    Entry *e = findEntry(me, m.blk);
+
+    switch (m.type) {
+      case MsgType::Invalidate:
+        if (e) {
+            bool pinned = cs.isPinned(m.blk);
+            cs.array.evict(*e);
+            if (pinned) {
+                // Keep a placeholder for the in-flight reply.
+                cs.array.install(*cs.array.pickVictim(m.blk), m.blk);
+            }
+        }
+        sendAck(MsgType::InvalAck, me, m.src, m.blk);
+        return;
+
+      case MsgType::InvalAck:
+        if (cs.phase == Phase::WaitInvalAcks &&
+            cs.victimBlk == m.blk && cs.ackFrom.test(m.src))
+            takeAck(me, m.src);
+        return;
+
+      case MsgType::OwnerAnnounce:
+        // Never resurrect a pointer to a dead owner: the announce
+        // was in flight when its subject crashed.
+        if (e && e->field.state == State::Invalid &&
+            !deadNodes.test(static_cast<NodeId>(m.value)))
+            e->field.owner = static_cast<NodeId>(m.value);
+        return;
+
+      case MsgType::PresentClear:
+        // Forwarded from the home: clear the leaver's flag and
+        // confirm to the leaver so it may re-acquire the block.
+        if (e && cache::isOwned(e->field.state)) {
+            e->field.present.reset(m.requester);
+            maybeExclusive(*e, me);
+            sendAck(MsgType::PresentClearAck, me, m.requester, m.blk);
+        } else {
+            send({.type = MsgType::NackNotOwner, .src = me,
+                  .dst = homeOf(m.blk), .toMemory = true,
+                  .blk = m.blk, .requester = m.requester});
+        }
+        return;
+
+      case MsgType::PresentClearAck:
+        cs.clearPending.erase(m.blk);
+        return;
+
+      case MsgType::OfferOwner: {
+        if (crashEnabled() && deadNodes.test(m.src)) {
+            // A dead evictor's offer: accepting would pin the
+            // block for a transfer that can never come.
+            return;
+        }
+        bool acceptable = e && !cs.isPinned(m.blk) &&
+            (e->field.state == State::UnOwned ||
+             (e->field.state == State::Invalid &&
+              e->field.owner != invalidNode));
+        if (acceptable)
+            cs.pinnedOffer.insert(m.blk); // reserved for transfer
+        sendAck(acceptable ? MsgType::OfferAck : MsgType::OfferNack,
+                me, m.src, m.blk);
+        return;
+      }
+
+      case MsgType::OfferAck:
+      case MsgType::OfferNack: {
+        if (cs.phase != Phase::WaitOffer || !cs.evicting ||
+            m.blk != cs.victimBlk ||
+            m.src != cs.candidates[cs.candIdx]) {
+            // A stale OfferAck leaves the offeree pinned for a
+            // transfer that is not coming; only its own eviction
+            // unpins it. Possible only under plans faulting control
+            // messages - the watchdog's department, not worth a
+            // revoke handshake.
+            ++ctrs.staleReplies;
+            return;
+        }
+        if (m.type == MsgType::OfferNack) {
+            ++ctrs.handoffNacks;
+            ++cs.candIdx;
+            sendNextOffer(me);
+            return;
+        }
+        Entry *ve = findEntry(me, cs.victimBlk);
+        panic_if(!ve, "offer ack without a victim");
+        ++ctrs.ownershipTransfers;
+
+        bool gr = cache::modeOf(ve->field.state) == Mode::GlobalRead;
+        cache::StateField field = ve->field;
+        field.present.reset(me); // we are leaving
+        field.owner = invalidNode;
+        field.state = gr ? State::OwnedNonExclGR
+                         : State::OwnedNonExclDW;
+        if (gr)
+            announceOwner(me, field, cs.victimBlk, m.src);
+        // A hand-off, not a request reply (requester invalidNode):
+        // the new owner releases the eviction's busy period with
+        // the eviction's token.
+        send({.type = gr ? MsgType::StateCopyXfer : MsgType::StateXfer,
+              .src = me, .dst = m.src, .blk = cs.victimBlk,
+              .requester = invalidNode, .tok = cs.evictToken,
+              .flag = true, .field = field,
+              .data = gr ? ve->data : std::vector<std::uint64_t>{}});
+
+        cs.array.evict(*ve);
+        endEviction(me);
+        startAccess(me);
+        return;
+      }
+
+      case MsgType::EvictAck:
+        if (cs.phase == Phase::WaitEvictAck && cs.evicting &&
+            m.blk == cs.victimBlk && m.seq == cs.txSeq) {
+            cs.evictToken = m.tok;
+            disarmTimeout(me);
+            continueEviction(me);
+            return;
+        }
+        ++ctrs.staleReplies;
+        if (cs.evicting && m.blk == cs.victimBlk &&
+            m.tok == cs.evictToken)
+            return; // duplicate of the grant we are acting on
+        // Grant for an eviction that already finished (a retried
+        // EvictReq drained after the original completed): the home
+        // holds a fresh busy period for it; release it, touching
+        // nothing.
+        send(evictDone(me, m.blk, m.tok, false));
+        return;
+
+      default:
+        return; // handleCacheMsg routes only the types above here
+    }
+}
+
+} // namespace mscp::proto

@@ -38,11 +38,6 @@ csprintf(const char *fmt, ...)
 namespace
 {
 
-// Atomic because parallel drivers (the sweep runner, the model
-// -checker sweep) toggle/read these from worker threads; relaxed
-// ordering suffices -- they gate diagnostics, not data.
-std::atomic<bool> throwsOnError{true};
-
 /** Parse MSCP_LOG once, before main(); default keeps the historical
  *  behavior (warn and inform both print). */
 LogLevel
@@ -86,30 +81,14 @@ parseLogLevel(const std::string &name, LogLevel fallback)
 }
 
 void
-setLoggingThrows(bool throws)
-{
-    throwsOnError = throws;
-}
-
-bool
-loggingThrows()
-{
-    return throwsOnError;
-}
-
-void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
     std::string msg = vcsprintf(fmt, args);
     va_end(args);
-    std::string full = csprintf("panic: %s (%s:%d)", msg.c_str(),
-                                file, line);
-    if (throwsOnError)
-        throw PanicError{full};
-    std::fprintf(stderr, "%s\n", full.c_str());
-    std::abort();
+    throw PanicError{csprintf("panic: %s (%s:%d)", msg.c_str(), file,
+                              line)};
 }
 
 void
@@ -119,12 +98,8 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     va_start(args, fmt);
     std::string msg = vcsprintf(fmt, args);
     va_end(args);
-    std::string full = csprintf("fatal: %s (%s:%d)", msg.c_str(),
-                                file, line);
-    if (throwsOnError)
-        throw FatalError{full};
-    std::fprintf(stderr, "%s\n", full.c_str());
-    std::exit(1);
+    throw FatalError{csprintf("fatal: %s (%s:%d)", msg.c_str(), file,
+                              line)};
 }
 
 void

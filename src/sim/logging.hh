@@ -3,11 +3,16 @@
  * Error and status reporting in the spirit of gem5's base/logging.hh.
  *
  * panic()  - an internal invariant was violated; this is a library bug.
- *            Prints and aborts.
+ *            Throws PanicError.
  * fatal()  - the simulation cannot continue because of a user error
- *            (bad configuration, invalid arguments). Prints and exits.
+ *            (bad configuration, invalid arguments). Throws FatalError.
  * warn()   - something works well enough but deserves attention.
  * inform() - plain status output.
+ *
+ * Both errors are std::runtime_errors whose what() reads "panic:
+ * <text> (file:line)" (or "fatal: ..."): tests and the model checker
+ * catch them, runSweep names the failed point with them, and an
+ * uncaught one reaches std::terminate, which prints it and aborts.
  *
  * DPRINTF(flag, ...) prints only when the named debug flag is enabled
  * (programmatically or via the MSCP_DEBUG environment variable, a
@@ -78,36 +83,16 @@ void warnImpl(const char *fmt, ...)
 void informImpl(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/**
- * When true (default in tests), panic/fatal throw PanicError /
- * FatalError instead of terminating the process, so that death paths
- * are unit-testable without gtest death tests forking the simulator.
- */
-void setLoggingThrows(bool throws);
-bool loggingThrows();
-
-/**
- * Exception thrown by panic() when setLoggingThrows(true). A
- * std::exception, so what() carries the text to any generic handler
- * (std::terminate prints it; runSweep names the failed point with it).
- */
+/** Exception thrown by panic(); what() carries the full text. */
 struct PanicError : std::runtime_error
 {
-    explicit PanicError(const std::string &msg)
-        : std::runtime_error(msg), message(msg)
-    {}
-
-    std::string message;
+    using std::runtime_error::runtime_error;
 };
 
-/** Exception thrown by fatal() when setLoggingThrows(true). */
+/** Exception thrown by fatal(); what() carries the full text. */
 struct FatalError : std::runtime_error
 {
-    explicit FatalError(const std::string &msg)
-        : std::runtime_error(msg), message(msg)
-    {}
-
-    std::string message;
+    using std::runtime_error::runtime_error;
 };
 
 namespace debug

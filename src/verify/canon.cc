@@ -368,9 +368,9 @@ EngineGateway::canonical() const
             for (unsigned h = 0; h < n; ++h) {
                 const auto &hs = e->homes[h];
                 for (BlockId blk = h; blk < nb; blk += n) {
-                    out.u8(hs.busy.contains(blk) ? 1 : 0);
                     const std::uint64_t *tok =
                         hs.busyToken.find(blk);
+                    out.u8(tok ? 1 : 0);
                     out.u64(tok ? rankOf(homeTok[h], *tok) : 0);
                     auto rel = hs.busyReleaser.find(blk);
                     out.u32(rel == hs.busyReleaser.end()

@@ -256,7 +256,7 @@ Explorer::explore()
             gw.apply(a);
         } catch (const PanicError &pe) {
             panicked = true;
-            panicMsg = pe.message;
+            panicMsg = pe.what();
         }
         ++res.edges;
         path.push_back(a);

@@ -318,7 +318,7 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
             events = subj.apply(a);
         } catch (const PanicError &pe) {
             panicked = true;
-            err = pe.message;
+            err = pe.what();
         }
         ++res.edges;
         path.push_back(a);

@@ -164,7 +164,7 @@ EngineGateway::settled() const
         !eng->vSweepPending.empty())
         return false;
     for (const auto &h : eng->homes)
-        if (!h.busy.empty())
+        if (!h.busyToken.empty())
             return false;
     return true;
 }
@@ -407,15 +407,7 @@ void
 EngineGateway::apply(const Action &a)
 {
     advance();
-    bool saved = loggingThrows();
-    setLoggingThrows(true);
-    try {
-        applyUnchecked(a);
-    } catch (...) {
-        setLoggingThrows(saved);
-        throw;
-    }
-    setLoggingThrows(saved);
+    applyUnchecked(a);
 }
 
 bool
@@ -603,19 +595,7 @@ std::vector<std::string>
 EngineGateway::checkInvariants() const
 {
     const Engine *e = eng.get();
-    proto::SystemView view;
-    view.numCaches = static_cast<unsigned>(e->cpus.size());
-    view.cacheArray =
-        [e](NodeId c) -> const cache::CacheArray & {
-            return e->cpus[c].array;
-        };
-    view.memoryModule =
-        [e](unsigned i) -> const mem::MemoryModule & {
-            return e->homes[i].mem;
-        };
-    view.homeOf = [e](BlockId b) { return e->homeOf(b); };
-    view.isLive = [e](NodeId c) { return !e->deadNodes.test(c); };
-    view.isQuiescent = [e] { return e->isQuiescent(); };
+    proto::SystemView view = proto::viewOf(*e);
     view.expectedWord = [e](Addr a, std::uint64_t &v) {
         const std::uint64_t *w = e->lastCompleted.find(a);
         if (!w)

@@ -33,23 +33,6 @@ using namespace mscp::proto;
 namespace
 {
 
-SystemView
-liveViewOf(const ConcurrentProtocol &p)
-{
-    SystemView v;
-    v.numCaches = p.numCaches();
-    v.cacheArray = [&p](NodeId c) -> const cache::CacheArray & {
-        return p.cacheArray(c);
-    };
-    v.memoryModule = [&p](unsigned i) -> const mem::MemoryModule & {
-        return p.memoryModule(i);
-    };
-    v.homeOf = [&p](BlockId b) { return p.homeOf(b); };
-    v.isLive = [&p](NodeId c) { return p.isLive(c); };
-    v.isQuiescent = [&p]() { return p.isQuiescent(); };
-    return v;
-}
-
 /** Engine parameters every crash run in this file uses. */
 ConcurrentParams
 crashParams()
@@ -177,7 +160,7 @@ TEST(CrashChecker, NonQuiescentSystemIsOneDistinguishedViolation)
     auto w = crashWorkload(8, 1, 400);
     p.run(w);
 
-    SystemView v = liveViewOf(p);
+    SystemView v = viewOf(p);
     auto clean = checkInvariants(v);
     EXPECT_TRUE(clean.empty()) << clean.front();
 
@@ -199,7 +182,7 @@ TEST(CrashChecker, I8FlagsStateReferencingDeadNodes)
     auto w = crashWorkload(8, 2, 800);
     p.run(w);
 
-    SystemView v = liveViewOf(p);
+    SystemView v = viewOf(p);
     ASSERT_TRUE(checkInvariants(v).empty());
 
     // Find a node that still holds something.
@@ -248,7 +231,7 @@ TEST(CrashRecovery, SingleCrashAnywhereLeavesSurvivorsClean)
             EXPECT_EQ(res.deadlocks, 0u);
             EXPECT_EQ(res.valueErrors, 0u);
             EXPECT_FALSE(p.isLive(victim));
-            auto errs = checkInvariants(liveViewOf(p));
+            auto errs = checkInvariants(viewOf(p));
             EXPECT_TRUE(errs.empty()) << errs.front();
             rebuilds += p.counters().rebuilds;
             masked += p.faultCounters().totalCrashMasked();
@@ -281,7 +264,7 @@ TEST(CrashRecovery, RestartedNodeRejoinsColdAndFinishes)
         EXPECT_EQ(p.counters().crashes, 1u);
         EXPECT_EQ(p.counters().rejoins, 1u);
         rejoins += p.counters().rejoins;
-        auto errs = checkInvariants(liveViewOf(p));
+        auto errs = checkInvariants(viewOf(p));
         EXPECT_TRUE(errs.empty()) << errs.front();
     }
     EXPECT_GT(rejoins, 0u);
@@ -316,7 +299,7 @@ TEST(CrashRecovery, CommittedWritesSurviveOwnerCrash)
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
         EXPECT_EQ(res.deadlocks, 0u);
         EXPECT_EQ(res.valueErrors, 0u);
-        auto errs = checkInvariants(liveViewOf(p));
+        auto errs = checkInvariants(viewOf(p));
         EXPECT_TRUE(errs.empty()) << errs.front();
         durable += p.counters().durableWrites;
     }
@@ -346,7 +329,7 @@ TEST(CrashRecovery, CrashSurvivesMessageFaultsToo)
         EXPECT_EQ(res.deadlocks, 0u);
         EXPECT_EQ(res.valueErrors, 0u);
         EXPECT_LE(res.refsLost, 1u);
-        auto errs = checkInvariants(liveViewOf(p));
+        auto errs = checkInvariants(viewOf(p));
         EXPECT_TRUE(errs.empty()) << errs.front();
     }
 }

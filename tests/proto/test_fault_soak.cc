@@ -31,21 +31,6 @@ using namespace mscp::proto;
 namespace
 {
 
-SystemView
-viewOf(const ConcurrentProtocol &p)
-{
-    SystemView v;
-    v.numCaches = p.numCaches();
-    v.cacheArray = [&p](NodeId c) -> const cache::CacheArray & {
-        return p.cacheArray(c);
-    };
-    v.memoryModule = [&p](unsigned i) -> const mem::MemoryModule & {
-        return p.memoryModule(i);
-    };
-    v.homeOf = [&p](BlockId b) { return p.homeOf(b); };
-    return v;
-}
-
 /** Hardened-engine defaults every faulted run in this file uses. */
 void
 hardenPoint(SweepPoint &pt)

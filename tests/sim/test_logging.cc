@@ -19,8 +19,9 @@ TEST(Panic, ThrowsWithLocationAndMessage)
         panic("boom %d", 3);
         FAIL() << "panic returned";
     } catch (const PanicError &e) {
-        EXPECT_NE(e.message.find("boom 3"), std::string::npos);
-        EXPECT_NE(e.message.find("test_logging.cc"),
+        const std::string what = e.what();
+        EXPECT_NE(what.find("boom 3"), std::string::npos);
+        EXPECT_NE(what.find("test_logging.cc"),
                   std::string::npos);
     }
 }

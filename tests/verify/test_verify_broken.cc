@@ -2,27 +2,26 @@
  * @file
  * Model-checker negative test: a deliberately broken engine variant.
  *
- * This binary compiles its own copy of the engine translation unit
- * with MSCP_FAULT_SEAM defined, which adds a runtime switch
- * (g_faultSeam) that makes a DW-mode owner serving a read forward
- * "forget" to record the reader in its present vector. A later
- * distributed write then skips that copy and the reader observes a
- * stale value. The checker must find this, minimize it, and render
- * a counterexample byte-identical to the checked-in golden file.
+ * This binary compiles its own copy of every engine translation
+ * unit with MSCP_FAULT_SEAM defined (tests/CMakeLists.txt), which
+ * adds a runtime switch (g_faultSeam) that makes a DW-mode owner
+ * serving a read forward "forget" to record the reader in its
+ * present vector. A later distributed write then skips that copy
+ * and the reader observes a stale value. The checker must find
+ * this, minimize it, and render a counterexample byte-identical to
+ * the checked-in golden file.
  *
- * Including the .cc here (instead of linking libmscp_proto's copy)
- * keeps the production object seam-free: the archive member is never
- * pulled because every engine symbol is already defined by this
- * object. Exploration and minimization are sequential and never
- * consult MSCP_THREADS, so the golden bytes are identical no matter
- * what thread count the surrounding suite runs with.
+ * Compiling the engine sources into this binary (instead of linking
+ * libmscp_proto's copy) keeps the production objects seam-free: no
+ * archive member is ever pulled because every engine symbol is
+ * already defined by the seamed objects. Exploration and
+ * minimization are sequential and never consult MSCP_THREADS, so
+ * the golden bytes are identical no matter what thread count the
+ * surrounding suite runs with.
  *
  * Regenerate the golden after an intentional checker/engine change:
  *   MSCP_UPDATE_GOLDEN=1 ./test_verify_broken
  */
-
-#define MSCP_FAULT_SEAM 1
-#include "proto/concurrent.cc"
 
 #include <gtest/gtest.h>
 
@@ -36,6 +35,14 @@
 #include "verify/liveness.hh"
 #include "verify/refine.hh"
 #include "verify/state.hh"
+
+namespace mscp::proto
+{
+/** The seams, defined in concurrent_request.cc when the engine is
+ *  compiled with MSCP_FAULT_SEAM. */
+extern bool g_faultSeam;
+extern bool g_livelockSeam;
+} // namespace mscp::proto
 
 using namespace mscp;
 using verify::Action;
