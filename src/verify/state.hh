@@ -223,10 +223,8 @@ class EngineGateway
     /** Enabled transitions, in a fixed deterministic order. */
     std::vector<Action> enabledActions() const;
 
-    /**
-     * Apply an enabled action. Engine panics surface as PanicError
-     * (logging is switched to throwing around the dispatch).
-     */
+    /** Apply an enabled action. Engine panics surface as
+     *  PanicError. */
     void apply(const Action &a);
 
     /**

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "verify/canon.hh"
 #include "verify/explorer.hh"
 #include "verify/liveness.hh"
@@ -374,4 +379,105 @@ TEST(Verify, CanonicalDropsAbsoluteTime)
     auto first = gw.canonical();
     gw.reset();
     EXPECT_EQ(first, gw.canonical());
+}
+
+// ---------------------------------------------------------------
+// Golden schedule digest: seeded random schedules through the
+// gateway, hashing the canonical state after every action. The
+// canonical form carries every field of every pending message and
+// every retained request, so an engine refactor that changes any
+// sent field -- even one no handler reads -- changes the digest.
+//
+// Regenerate after an intentional engine or canonicalizer change:
+//   MSCP_UPDATE_GOLDEN=1 ./test_verify
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** Digest of @p schedules random walks of at most @p max_steps
+ *  actions each (splitmix64 choices, FNV-1a over canonical bytes). */
+std::string
+scheduleDigest(const VerifyConfig &cfg, unsigned schedules,
+               unsigned max_steps)
+{
+    EngineGateway gw(cfg);
+    std::uint64_t mix = 0x5eed;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t actions = 0;
+    for (unsigned s = 0; s < schedules; ++s) {
+        gw.reset();
+        for (unsigned step = 0; step < max_steps; ++step) {
+            std::vector<Action> acts = gw.enabledActions();
+            if (acts.empty())
+                break;
+            std::uint64_t z = mix += 0x9e3779b97f4a7c15ull;
+            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+            z ^= z >> 31;
+            gw.apply(acts[z % acts.size()]);
+            ++actions;
+            for (std::uint8_t b : gw.canonical()) {
+                h ^= b;
+                h *= 0x100000001b3ull;
+            }
+        }
+    }
+    std::ostringstream os;
+    os << cfg.name << " actions=" << actions << " fnv1a=0x" << std::hex
+       << h << "\n";
+    return os.str();
+}
+
+} // anonymous namespace
+
+TEST(Verify, RandomSchedulesMatchGoldenDigest)
+{
+    std::vector<VerifyConfig> cfgs = {
+        smallConfig(cache::Mode::DistributedWrite),
+        smallConfig(cache::Mode::GlobalRead),
+        threeCpuConfig(),
+    };
+    // verify_sweep's B-gr2blk: GR over two blocks in one-entry
+    // caches, so evictions, hand-offs and owner announcements run.
+    VerifyConfig gr = threeCpuConfig();
+    gr.name = "B-gr2blk";
+    gr.mode = cache::Mode::GlobalRead;
+    gr.program = {
+        {{0, 0, true, 7}, {0, 1, true, 8}},
+        {{1, 0, false, 0}, {1, 1, false, 0}},
+        {{2, 0, false, 0}, {2, 1, false, 0}},
+    };
+    cfgs.push_back(gr);
+    // verify_sweep's E-crash: timeouts, suspicion and one crash.
+    VerifyConfig crash = smallConfig(cache::Mode::DistributedWrite);
+    crash.name = "E-crash";
+    crash.program = {{{0, 0, true, 1}}, {{1, 0, false, 0}}};
+    crash.opt.crashBudget = 1;
+    crash.opt.allowRejoin = false;
+    crash.opt.timeoutBase = 1;
+    crash.opt.maxRetries = 1;
+    crash.opt.dedupResends = true;
+    cfgs.push_back(crash);
+
+    std::string rendered;
+    for (const VerifyConfig &cfg : cfgs)
+        rendered += scheduleDigest(cfg, 300, 80);
+
+    const std::string path =
+        std::string(MSCP_VERIFY_GOLDEN_DIR) + "/golden_schedule_digest.txt";
+    if (std::getenv("MSCP_UPDATE_GOLDEN")) {
+        std::ofstream out(path, std::ios::binary);
+        out << rendered;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good())
+        << "missing golden file " << path
+        << " (regenerate with MSCP_UPDATE_GOLDEN=1)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(golden.str(), rendered)
+        << "schedule digest drifted from the checked-in golden; if "
+           "the change is intentional, regenerate with "
+           "MSCP_UPDATE_GOLDEN=1";
 }
