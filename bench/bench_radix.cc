@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "analytic/radix_cost.hh"
-#include "net/radix_network.hh"
+#include "net/omega_network.hh"
 
 using namespace mscp;
 

@@ -2,24 +2,8 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace mscp::net
 {
-
-void
-LinkStats::merge(const LinkStats &other)
-{
-    panic_if(other.perLink.size() != perLink.size() ||
-                 other.lines != lines,
-             "merging LinkStats of different network shapes");
-    for (std::size_t i = 0; i < perLink.size(); ++i)
-        perLink[i] += other.perLink[i];
-    for (std::size_t i = 0; i < perLevel.size(); ++i)
-        perLevel[i] += other.perLevel[i];
-    _totalBits += other._totalBits;
-    _traversals += other._traversals;
-}
 
 Bits
 LinkStats::maxLinkBits() const

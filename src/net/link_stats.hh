@@ -46,13 +46,6 @@ class LinkStats
         ++_traversals;
     }
 
-    /** Traffic on one link. */
-    Bits
-    linkBits(unsigned level, unsigned line) const
-    {
-        return perLink[index(level, line)];
-    }
-
     /** L_i: total traffic on links to stage @p level. */
     Bits levelBits(unsigned level) const { return perLevel[level]; }
 
@@ -65,22 +58,10 @@ class LinkStats
     /** Highest single-link bit count (hot-spot measure). */
     Bits maxLinkBits() const;
 
-    /**
-     * Add @p other's counters into this object (same shape
-     * required). Plain addition, so merging per-shard accumulators
-     * is commutative and associative: a PDES run's merged link
-     * statistics are bit-identical to the serial run's, whatever
-     * order the shards finished in (same discipline as
-     * core::LatencyHistogram::merge).
-     */
-    void merge(const LinkStats &other);
-
     unsigned numLevels() const
     {
         return static_cast<unsigned>(perLevel.size());
     }
-
-    unsigned numLines() const { return lines; }
 
     /** Zero every counter. */
     void reset();

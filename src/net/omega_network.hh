@@ -1,44 +1,75 @@
 /**
  * @file
- * Functional omega-network model with exact link-bit accounting.
+ * Functional omega-network model with exact link-bit accounting, for
+ * 2x2 switches (OmegaNetwork) and a x a switches
+ * (RadixOmegaNetwork).
  *
  * The network implements the three multicast schemes of the paper's
- * Sec. 3 plus the combined min-cost scheme (eq. 8). Each transfer
- * produces a trace of link traversals; committing a trace adds its
- * bits to the per-link statistics, so the simulator measures exactly
- * the communication-cost metric the paper analyzes (eq. 1).
+ * Sec. 3 plus the combined min-cost scheme (eq. 8). Each scheme's
+ * routing tree is written once, as a walk generic over the topology:
+ * the destination-tag path (walkUnicast), the vector-split tree
+ * (walkVector) and the broadcast-tag tree (walkBroadcast). walk() is
+ * the one place a Scheme selects its tree. A walk hands every link
+ * of the tree, parents first, to a visitor along with the value the
+ * visitor returned for the parent link; the visitor decides what
+ * the walk computes -- a trace, a bit count, LinkStats updates, or
+ * TimedNetwork's link reservations -- so the simulator measures the
+ * paper's communication-cost metric (eq. 1) on the very tree it
+ * times.
  *
- * Header-size model (matching the paper's per-stage tables):
- *  - scheme 1: a message entering stage i carries m - i tag bits,
- *  - scheme 2: it carries the N/2^i-bit destination subvector,
- *  - scheme 3: it carries 2(m - i) tag bits.
+ * Header-size model (matching the paper's per-stage tables; a digit
+ * is ceil(log2 a) bits, one bit for 2x2 switches):
+ *  - scheme 1: a message entering stage i carries m - i digits,
+ *  - scheme 2: it carries the N/a^i-bit destination subvector,
+ *  - scheme 3: it carries m - i fields of one broadcast bit plus
+ *    one digit (2(m - i) bits for 2x2 switches).
  */
 
 #ifndef MSCP_NET_OMEGA_NETWORK_HH
 #define MSCP_NET_OMEGA_NETWORK_HH
 
 #include <array>
+#include <concepts>
+#include <cstdint>
 #include <vector>
 
 #include "net/link_stats.hh"
+#include "net/radix_topology.hh"
 #include "net/route.hh"
 #include "net/topology.hh"
 #include "sim/bitset.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace mscp::net
 {
 
-/** Functional N x N omega network (2x2 switches). */
-class OmegaNetwork
+/**
+ * Functional N x N omega network over a topology type: OmegaTopology
+ * (2x2 switches, shift arithmetic) or RadixOmegaTopology (a x a).
+ */
+template <class Topo>
+class BasicOmegaNetwork
 {
   public:
-    /**
-     * @param num_ports number of ports N (power of two, >= 2)
-     */
-    explicit OmegaNetwork(unsigned num_ports);
+    /** Destination sets scheme 3 reaches: Subcube or RadixSubcube. */
+    using Cube = typename Topo::Cube;
 
-    const OmegaTopology &topology() const { return topo; }
+    /**
+     * @param topo_args the topology's constructor arguments: N for
+     *        OmegaNetwork, (N, a) for RadixOmegaNetwork
+     */
+    template <class... TopoArgs>
+        requires std::constructible_from<Topo, TopoArgs...>
+    explicit BasicOmegaNetwork(TopoArgs... topo_args)
+        : topo(topo_args...),
+          stats(topo.numLinkLevels(), topo.numPorts()),
+          scratchVector(topo.numPorts()),
+          walkStack(topo.numStages() * (topo.radix() - 1) + 1)
+    {
+    }
+
+    const Topo &topology() const { return topo; }
     unsigned numPorts() const { return topo.numPorts(); }
     unsigned numStages() const { return topo.numStages(); }
 
@@ -48,40 +79,25 @@ class OmegaNetwork
     /** Latency in hops of any single delivery (m + 1 links). */
     unsigned hopCount() const { return topo.numStages() + 1; }
 
-    /** @{ Trace builders (no statistics side effects).
-     *
-     * The `...Into` forms append to a caller-owned vector so hot
-     * paths can reuse one scratch buffer; the value-returning forms
-     * are convenience wrappers. */
+    /** @{ Trace builders (no statistics side effects). */
 
     /** Scheme-1 unicast from @p src to @p dst. */
     std::vector<Traversal> traceUnicast(
         NodeId src, NodeId dst, Bits payload_bits) const;
-    void traceUnicastInto(std::vector<Traversal> &out, NodeId src,
-                          NodeId dst, Bits payload_bits) const;
 
     /** Scheme 1: independent unicasts to every destination. */
     std::vector<Traversal> traceScheme1(
         NodeId src, const std::vector<NodeId> &dests,
         Bits payload_bits) const;
-    void traceScheme1Into(std::vector<Traversal> &out, NodeId src,
-                          const std::vector<NodeId> &dests,
-                          Bits payload_bits) const;
 
     /** Scheme 2: destination-vector routing. */
     std::vector<Traversal> traceScheme2(
         NodeId src, const DynamicBitset &dests,
         Bits payload_bits) const;
-    void traceScheme2Into(std::vector<Traversal> &out, NodeId src,
-                          const DynamicBitset &dests,
-                          Bits payload_bits) const;
 
-    /** Scheme 3: broadcast-tag routing to a destination subcube. */
+    /** Scheme 3: broadcast-tag routing to a destination cube. */
     std::vector<Traversal> traceScheme3(
-        NodeId src, const Subcube &cube, Bits payload_bits) const;
-    void traceScheme3Into(std::vector<Traversal> &out, NodeId src,
-                          const Subcube &cube,
-                          Bits payload_bits) const;
+        NodeId src, const Cube &cube, Bits payload_bits) const;
 
     /** @} */
 
@@ -91,98 +107,284 @@ class OmegaNetwork
     /** Cost of a trace, accumulated into the link statistics. */
     RouteResult commit(const std::vector<Traversal> &trace);
 
-    /** @{ Convenience: trace + commit in one call. */
+    /** @{ Convenience: trace + commit in one call. Scheme 3 routes
+     *  to the smallest cube enclosing @p dests; Combined makes the
+     *  eq. 8 choice (SchemeCosts::cheapest()) and reports it in
+     *  RouteResult::used. */
     RouteResult unicast(NodeId src, NodeId dst, Bits payload_bits);
     RouteResult multicast(Scheme scheme, NodeId src,
                           const std::vector<NodeId> &dests,
                           Bits payload_bits);
+    RouteResult
+    multicastCombined(NodeId src, const std::vector<NodeId> &dests,
+                      Bits payload_bits)
+    {
+        return multicast(Scheme::Combined, src, dests, payload_bits);
+    }
     /** @} */
-
-    /**
-     * Combined scheme (eq. 8): evaluate schemes 1, 2 and 3 (the
-     * latter on the smallest enclosing subcube) and commit the
-     * cheapest. Ties break toward the lower scheme number.
-     */
-    RouteResult multicastCombined(NodeId src,
-                                  const std::vector<NodeId> &dests,
-                                  Bits payload_bits);
 
     /**
      * Evaluate (without committing) the cost each scheme would incur
      * for this transfer. Index 0 -> scheme 1, 1 -> scheme 2,
-     * 2 -> scheme 3 (padded subcube).
+     * 2 -> scheme 3 (padded cube).
      */
     std::array<RouteResult, 3> evaluateAllSchemes(
         NodeId src, const std::vector<NodeId> &dests,
         Bits payload_bits) const;
 
-    /** Total link-bit cost of each scheme, allocation-free. */
-    struct SchemeCosts
-    {
-        Bits scheme1;
-        Bits scheme2;
-        Bits scheme3;
-
-        /** The eq. 8 choice: the cheapest scheme, ties toward the
-         *  lower scheme number. */
-        Scheme
-        cheapest() const
-        {
-            if (scheme1 <= scheme2 && scheme1 <= scheme3)
-                return Scheme::Unicasts;
-            return scheme2 <= scheme3 ? Scheme::VectorRouting
-                                      : Scheme::BroadcastTag;
-        }
-    };
-
     /**
-     * Compute SchemeCosts without materializing traces. Totals are
-     * bit-for-bit identical to evaluate(traceSchemeX(...)).totalBits,
-     * so combined-scheme selection is unchanged; only the work to
-     * decide is. @p dests must be non-empty.
+     * Compute SchemeCosts without materializing traces: closed forms
+     * for schemes 1 and 3, the scheme-2 walk for scheme 2. Totals
+     * are bit-for-bit those of the traces. @p dests must be
+     * non-empty.
      */
     SchemeCosts schemeCosts(NodeId src,
                             const std::vector<NodeId> &dests,
                             Bits payload_bits) const;
 
-    /** @{ Committed fast paths (no trace, no RouteResult).
-     *
-     * Hot-path equivalents of unicast()/multicast() for callers that
-     * only need the link statistics updated and the total cost:
-     * identical bits hit identical links, but no vectors are built.
-     * @return total bits committed. */
+    /** @{ Committed paths: the same links and bits as unicast() /
+     *  multicast(), accumulated into the link statistics without a
+     *  trace. @return total bits committed. */
     Bits unicastCommit(NodeId src, NodeId dst, Bits payload_bits);
     Bits multicastCommit(Scheme scheme, NodeId src,
                          const std::vector<NodeId> &dests,
                          Bits payload_bits);
     /** @} */
 
-  private:
-    /** @{ per-scheme committed walks (dests non-empty). */
-    Bits commitScheme1(NodeId src, const std::vector<NodeId> &dests,
-                       Bits payload_bits);
-    Bits commitScheme2(NodeId src, Bits payload_bits);
-    Bits commitScheme3(NodeId src, const Subcube &cube,
-                       Bits payload_bits);
+    /**
+     * @{ Walks. @p visit is called as
+     * `Value visit(unsigned level, unsigned line, Bits bits, Value
+     * parent)` once per link of the tree, in delivery order: a link
+     * before its children, output 0's subtree before output 1's.
+     * @p parent is what visit returned for the parent link, or
+     * @p root for a link leaving the source.
+     */
+
+    /** The destination-tag path from @p src to @p dst. */
+    template <class Value, class Visit>
+    void walkUnicast(NodeId src, NodeId dst, Bits payload_bits,
+                     Value root, Visit &&visit) const;
+
+    /**
+     * The tree @p scheme routes to @p dests (nothing if empty);
+     * Combined walks SchemeCosts::cheapest(). Scheme 1 walks one
+     * path per destination, each from @p root.
+     *
+     * @return the scheme walked
+     */
+    template <class Value, class Visit>
+    Scheme walk(Scheme scheme, NodeId src,
+                const std::vector<NodeId> &dests, Bits payload_bits,
+                Value root, Visit &&visit) const;
+
     /** @} */
+
+  private:
+    /** A pending link of walkTree. */
+    struct WalkFrame
+    {
+        unsigned level;
+        unsigned line;
+    };
+
+    /** N = a^m fits an unsigned and a >= 2. */
+    static constexpr unsigned MaxStages = 31;
+
+    template <class Value, class Visit>
+    void walkVector(NodeId src, const DynamicBitset &dests,
+                    Bits payload_bits, Value root,
+                    Visit &visit) const;
+    template <class Value, class Visit>
+    void walkBroadcast(NodeId src, const Cube &cube,
+                       Bits payload_bits, Value root,
+                       Visit &visit) const;
+    /**
+     * The depth-first walk of a multicast tree (schemes 2 and 3).
+     * A link on level l carries @p header(l) bits; a switch forwards
+     * on each output for which @p fork(level, out, lo, part) holds,
+     * where [lo, lo + part) are the destinations behind that output.
+     */
+    template <class Value, class Header, class Fork, class Visit>
+    void walkTree(NodeId src, Value root, Header header, Fork fork,
+                  Visit &visit) const;
+
+    /** Trace @p dests under @p scheme into @p trace and price it. */
+    RouteResult route(Scheme scheme, NodeId src,
+                      const std::vector<NodeId> &dests,
+                      Bits payload_bits,
+                      std::vector<Traversal> &trace) const;
 
     /** Load @p dests into the reusable scheme-2 scratch vector. */
     void fillScratchVector(const std::vector<NodeId> &dests) const;
-    /** Bits on a level-@p level link for the given scheme. */
-    Bits headerBits(Scheme scheme, unsigned level) const;
 
-    void checkPort(NodeId p) const;
+    void
+    checkPort(NodeId p) const
+    {
+        panic_if(p >= topo.numPorts(), "port %u out of range (N=%u)",
+                 p, topo.numPorts());
+    }
 
-    OmegaTopology topo;
+    Topo topo;
     LinkStats stats;
     /**
-     * Reusable destination-vector scratch for scheme-2 walks. An
-     * OmegaNetwork is single-run state (the parallel sweep gives
-     * every run its own network), so a mutable scratch member is
-     * safe and keeps the hot path allocation-free.
+     * Reusable scratch of the walks: the scheme-2 destination
+     * vector and walkTree's explicit stack. A network is single-run
+     * state (the parallel sweep gives every run its own network), so
+     * mutable scratch is safe and keeps every walk allocation-free.
+     * The stack holds m(a-1)+1 frames: at most a-1 pending siblings
+     * on each of the first m-1 levels plus one switch's a outputs.
      */
     mutable DynamicBitset scratchVector;
+    mutable std::vector<WalkFrame> walkStack;
 };
+
+/** The paper's network of 2x2 switches. */
+using OmegaNetwork = BasicOmegaNetwork<OmegaTopology>;
+/** The same network of a x a switches. */
+using RadixOmegaNetwork = BasicOmegaNetwork<RadixOmegaTopology>;
+
+template <class Topo>
+template <class Value, class Visit>
+void
+BasicOmegaNetwork<Topo>::walkUnicast(NodeId src, NodeId dst,
+                                     Bits payload_bits, Value root,
+                                     Visit &&visit) const
+{
+    checkPort(src);
+    checkPort(dst);
+    const unsigned m = topo.numStages();
+    unsigned line = src;
+    Value parent = root;
+    for (unsigned level = 0; level <= m; ++level) {
+        parent = visit(level, line,
+                       payload_bits + Bits{m - level} * topo.digitBits(),
+                       parent);
+        if (level < m)
+            line = topo.nextLine(line, topo.destDigit(dst, level));
+    }
+}
+
+template <class Topo>
+template <class Value, class Visit>
+void
+BasicOmegaNetwork<Topo>::walkVector(NodeId src,
+                                    const DynamicBitset &dests,
+                                    Bits payload_bits, Value root,
+                                    Visit &visit) const
+{
+    panic_if(dests.size() != topo.numPorts(),
+             "scheme-2 vector size %zu != N=%u", dests.size(),
+             topo.numPorts());
+    if (dests.none())
+        return;
+    // The subvector goes out on every output whose share of the
+    // destination range holds a destination.
+    walkTree(
+        src, root,
+        [&](unsigned level) { return payload_bits + topo.span(level); },
+        [&](unsigned, unsigned, unsigned lo, unsigned part) {
+            return dests.anyInRange(lo, lo + part);
+        },
+        visit);
+}
+
+template <class Topo>
+template <class Value, class Visit>
+void
+BasicOmegaNetwork<Topo>::walkBroadcast(NodeId src, const Cube &cube,
+                                       Bits payload_bits, Value root,
+                                       Visit &visit) const
+{
+    const unsigned m = topo.numStages();
+    panic_if(cube.base >= topo.numPorts() || (cube.mask >> m) != 0,
+             "subcube outside the network");
+    // Broadcast on every output where the cube's digit is free,
+    // follow the cube's digit elsewhere.
+    walkTree(
+        src, root,
+        [&](unsigned level) {
+            return payload_bits +
+                Bits{m - level} * (1 + topo.digitBits());
+        },
+        [&](unsigned level, unsigned out, unsigned, unsigned) {
+            return ((cube.mask >> (m - 1 - level)) & 1) != 0 ||
+                out == topo.destDigit(cube.base, level);
+        },
+        visit);
+}
+
+template <class Topo>
+template <class Value, class Header, class Fork, class Visit>
+void
+BasicOmegaNetwork<Topo>::walkTree(NodeId src, Value root,
+                                  Header header, Fork fork,
+                                  Visit &visit) const
+{
+    checkPort(src);
+    const unsigned m = topo.numStages();
+    // Depth first, a link's parent is the last link visited one
+    // level up, so one value per level stands in for a parent per
+    // frame: parent[l] belongs to the level-(l-1) link.
+    std::array<Value, MaxStages + 2> parent;
+    parent[0] = root;
+    WalkFrame *stack = walkStack.data();
+    std::size_t top = 0;
+    stack[top++] = {0, src};
+    while (top) {
+        // Field by field: a whole-frame copy becomes one wide load
+        // over two narrow stores, which stalls store forwarding.
+        --top;
+        const unsigned level = stack[top].level;
+        const unsigned line = stack[top].line;
+        parent[level + 1] =
+            visit(level, line, header(level), parent[level]);
+        if (level == m)
+            continue; // delivered
+        const unsigned lo = topo.reachFirst(level, line);
+        const unsigned part = topo.span(level + 1);
+        // Output a-1 is pushed first so output 0 is walked first.
+        for (unsigned out = topo.radix(); out-- > 0;) {
+            if (fork(level, out, lo + out * part, part))
+                stack[top++] = {level + 1, topo.nextLine(line, out)};
+        }
+    }
+}
+
+template <class Topo>
+template <class Value, class Visit>
+Scheme
+BasicOmegaNetwork<Topo>::walk(Scheme scheme, NodeId src,
+                              const std::vector<NodeId> &dests,
+                              Bits payload_bits, Value root,
+                              Visit &&visit) const
+{
+    if (dests.empty())
+        return scheme;
+    bool vector_loaded = false;
+    if (scheme == Scheme::Combined) {
+        // schemeCosts() leaves dests in the scratch vector.
+        scheme = schemeCosts(src, dests, payload_bits).cheapest();
+        vector_loaded = true;
+    }
+    switch (scheme) {
+      case Scheme::Unicasts:
+        for (NodeId d : dests)
+            walkUnicast(src, d, payload_bits, root, visit);
+        break;
+      case Scheme::VectorRouting:
+        if (!vector_loaded)
+            fillScratchVector(dests);
+        walkVector(src, scratchVector, payload_bits, root, visit);
+        break;
+      case Scheme::BroadcastTag:
+        walkBroadcast(src, topo.enclosing(dests), payload_bits, root,
+                      visit);
+        break;
+      case Scheme::Combined:
+        break; // resolved above
+    }
+    return scheme;
+}
 
 } // namespace mscp::net
 

@@ -14,51 +14,42 @@ TimedNetwork::TimedNetwork(OmegaNetwork &network, EventQueue &eq,
       linkFree(static_cast<std::size_t>(
                    network.topology().numLinkLevels()) *
                network.numPorts(), 0),
-      portClock(network.numPorts(), 0),
-      destScratch(network.numPorts())
+      portClock(network.numPorts(), 0)
 {
     fatal_if(link_width_bits == 0, "link width must be positive");
 }
 
+template <class WalkTree>
 Tick
-TimedNetwork::send(const std::vector<Traversal> &trace,
-                   const DeliveryFn &on_delivery)
+TimedNetwork::sendTree(const DeliveryFn &on_delivery,
+                       WalkTree walk_tree)
 {
     LinkStats &stats = net.linkStats();
-
-    // Arrival time at the head of each traversal's link. Parents
-    // always precede children in the traces the schemes build, so a
-    // single forward pass resolves the whole tree. The bits are
-    // accumulated into the functional statistics in the same pass.
-    doneScratch.assign(trace.size(), 0);
-    Tick now = eq.curTick();
+    const Tick now = eq.curTick();
+    const unsigned m = net.numStages();
     Tick last = now;
-    unsigned m = net.numStages();
     _lastDeliveries = 0;
 
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const Traversal &t = trace[i];
-        panic_if(t.parent >= static_cast<std::int32_t>(i),
-                 "trace is not topologically ordered");
-        stats.add(t.level, t.line, t.bits);
-        Tick ready = t.parent < 0
-            ? now : doneScratch[static_cast<std::size_t>(t.parent)];
-        Tick &free = linkFree[linkIndex(t.level, t.line)];
-        Tick depart = std::max(ready, free);
-        Tick ser = serialization(t.bits);
+    // A link's value is the tick its message is done with it, which
+    // is when the child links' messages are ready to depart.
+    walk_tree(now, [&](unsigned level, unsigned line, Bits bits,
+                       Tick ready) {
+        stats.add(level, line, bits);
+        Tick &free = linkFree[linkIndex(level, line)];
+        const Tick depart = std::max(ready, free);
+        const Tick ser = serialization(bits);
         free = depart + ser;
-        doneScratch[i] = depart + ser + hopLatency;
+        const Tick done = depart + ser + hopLatency;
 
         if (metrics) {
-            metrics->cell(mid.linkWait, t.level, t.line,
-                          depart - ready);
-            metrics->cell(mid.linkBusy, t.level, t.line, ser);
+            metrics->cell(mid.linkWait, level, line, depart - ready);
+            metrics->cell(mid.linkBusy, level, line, ser);
         }
 
-        if (t.level == m)
-            scheduleDelivery(on_delivery, t.line, doneScratch[i],
-                             last);
-    }
+        if (level == m)
+            scheduleDelivery(on_delivery, line, done, last);
+        return done;
+    });
     if (metrics)
         metrics->sample(mid.fanout, _lastDeliveries);
     return last;
@@ -121,9 +112,9 @@ Tick
 TimedNetwork::sendUnicast(NodeId src, NodeId dst, Bits payload_bits,
                           const DeliveryFn &on_delivery)
 {
-    traceScratch.clear();
-    net.traceUnicastInto(traceScratch, src, dst, payload_bits);
-    return send(traceScratch, on_delivery);
+    return sendTree(on_delivery, [&](Tick now, auto &&visit) {
+        net.walkUnicast(src, dst, payload_bits, now, visit);
+    });
 }
 
 Tick
@@ -132,33 +123,9 @@ TimedNetwork::sendMulticast(Scheme scheme, NodeId src,
                             Bits payload_bits,
                             const DeliveryFn &on_delivery)
 {
-    traceScratch.clear();
-    switch (scheme) {
-      case Scheme::Unicasts:
-        net.traceScheme1Into(traceScratch, src, dests, payload_bits);
-        break;
-      case Scheme::VectorRouting:
-        destScratch.clear();
-        for (NodeId d : dests)
-            destScratch.set(d);
-        net.traceScheme2Into(traceScratch, src, destScratch,
-                             payload_bits);
-        break;
-      case Scheme::BroadcastTag:
-        if (!dests.empty()) {
-            net.traceScheme3Into(traceScratch, src,
-                                 Subcube::enclosing(dests),
-                                 payload_bits);
-        }
-        break;
-      case Scheme::Combined:
-        if (dests.empty())
-            break;
-        return sendMulticast(
-            net.schemeCosts(src, dests, payload_bits).cheapest(), src,
-            dests, payload_bits, on_delivery);
-    }
-    return send(traceScratch, on_delivery);
+    return sendTree(on_delivery, [&](Tick now, auto &&visit) {
+        net.walk(scheme, src, dests, payload_bits, now, visit);
+    });
 }
 
 void

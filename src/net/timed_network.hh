@@ -43,7 +43,7 @@ struct NetMetricIds
 {
     MetricId linkWait;  ///< grid: ticks queued behind a busy link
     MetricId linkBusy;  ///< grid: ticks spent serializing bits
-    MetricId fanout;    ///< histogram: deliveries per send()
+    MetricId fanout;    ///< histogram: deliveries per send
 };
 
 /** Timing wrapper around OmegaNetwork. */
@@ -85,31 +85,23 @@ class TimedNetwork
         return static_cast<Tick>(hop_count) * (1 + hop_latency);
     }
 
-    Tick
-    minCrossLatency() const
-    {
-        return zeroLoadLookahead(net.hopCount(), hopLatency);
-    }
-
     /**
-     * Send a traced message tree; schedules one callback per
-     * delivery at its contention-aware arrival tick. The trace is
-     * also committed to the functional link statistics.
+     * @{ Send a message tree: OmegaNetwork's walk of the unicast
+     * path or of @p scheme's multicast tree (Combined makes the eq. 8
+     * choice) reserves each link as it visits it and schedules one
+     * callback per delivery at its contention-aware arrival tick.
+     * Every link's bits are also committed to the functional link
+     * statistics.
      *
      * @return tick of the last delivery
      */
-    Tick send(const std::vector<Traversal> &trace,
-              const DeliveryFn &on_delivery);
-
-    /** Convenience: timed unicast. */
     Tick sendUnicast(NodeId src, NodeId dst, Bits payload_bits,
                      const DeliveryFn &on_delivery);
-
-    /** Convenience: timed multicast using a fixed scheme. */
     Tick sendMulticast(Scheme scheme, NodeId src,
                        const std::vector<NodeId> &dests,
                        Bits payload_bits,
                        const DeliveryFn &on_delivery);
+    /** @} */
 
     /** Ticks needed to serialize @p bits onto a link. */
     Tick
@@ -146,7 +138,7 @@ class TimedNetwork
      * scheme-3 multicast can deliver to more ports than requested).
      * Callers use this to refcount per-message state shared by the
      * delivery callbacks; deliveries always fire strictly after
-     * send() returns, so reading it right after the call is safe.
+     * the send returns, so reading it right after the call is safe.
      */
     std::uint64_t lastDeliveries() const { return _lastDeliveries; }
 
@@ -180,6 +172,14 @@ class TimedNetwork
             net.numPorts() + line;
     }
 
+    /**
+     * Time the tree @p walk_tree walks: it is called with the send
+     * tick and the link visitor, and hands the visitor to one of
+     * OmegaNetwork's walks.
+     */
+    template <class WalkTree>
+    Tick sendTree(const DeliveryFn &on_delivery, WalkTree walk_tree);
+
     /** Schedule one delivery callback, or drop/duplicate it. */
     void scheduleDelivery(const DeliveryFn &on_delivery, NodeId dst,
                           Tick when, Tick &last);
@@ -208,16 +208,6 @@ class TimedNetwork
      */
     std::vector<Tick> portClock;
     std::uint64_t _lastDeliveries = 0;
-    /**
-     * Reusable scratch (a TimedNetwork is single-run state, like the
-     * OmegaNetwork it wraps): per-node completion ticks, the trace
-     * of the convenience senders, and the scheme-2 destination
-     * vector. Deliveries are only scheduled -- never invoked -- from
-     * inside send(), so no reentrant use can clobber them.
-     */
-    std::vector<Tick> doneScratch;
-    std::vector<Traversal> traceScratch;
-    DynamicBitset destScratch;
 };
 
 } // namespace mscp::net

@@ -22,7 +22,7 @@ OmegaTopology::path(unsigned src, unsigned dst) const
     unsigned line = src;
     lines.push_back(line);
     for (unsigned stage = 0; stage < m; ++stage) {
-        line = nextLine(line, destBit(dst, stage));
+        line = nextLine(line, destDigit(dst, stage));
         lines.push_back(line);
     }
     panic_if(line != dst, "omega routing invariant violated");
@@ -34,9 +34,8 @@ OmegaTopology::reachable(unsigned level, unsigned line,
                          unsigned &lo, unsigned &hi) const
 {
     panic_if(level > m || line >= n, "bad link coordinates");
-    unsigned fixed = line & ((1u << level) - 1u);
-    lo = fixed << (m - level);
-    hi = lo + (1u << (m - level));
+    lo = reachFirst(level, line);
+    hi = lo + span(level);
 }
 
 } // namespace mscp::net

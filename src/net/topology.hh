@@ -20,15 +20,24 @@
 
 #include <vector>
 
+#include "net/route.hh"
 #include "sim/types.hh"
 
 namespace mscp::net
 {
 
-/** Static geometry helper for omega networks of 2x2 switches. */
+/**
+ * Static geometry helper for omega networks of 2x2 switches. Its
+ * interface is the one BasicOmegaNetwork walks (shared with
+ * RadixOmegaTopology), specialized to a = 2 so every step is a
+ * shift or a mask.
+ */
 class OmegaTopology
 {
   public:
+    /** Scheme-3 destination sets: subcubes of the address bits. */
+    using Cube = Subcube;
+
     /**
      * @param num_ports number of network ports N; must be a power of
      *        two and at least 2
@@ -46,6 +55,31 @@ class OmegaTopology
 
     /** Switches per stage (N / 2). */
     unsigned switchesPerStage() const { return n / 2; }
+
+    /** Switch degree a. */
+    static constexpr unsigned radix() { return 2; }
+
+    /** Bits of one routing digit. */
+    static constexpr unsigned digitBits() { return 1; }
+
+    /**
+     * Destinations reachable from one level-@p level link: 2^(m -
+     * level), which is also the length of the scheme-2 vector the
+     * link carries.
+     */
+    unsigned span(unsigned level) const { return 1u << (m - level); }
+
+    /**
+     * First destination reachable from link (@p level, @p line): at
+     * level i the destination's top i bits are already fixed by the
+     * line's low i bits. The reachable range holds span(level)
+     * destinations.
+     */
+    unsigned
+    reachFirst(unsigned level, unsigned line) const
+    {
+        return (line & ((1u << level) - 1u)) << (m - level);
+    }
 
     /** Perfect shuffle: rotate the m-bit line number left by one. */
     unsigned
@@ -66,7 +100,7 @@ class OmegaTopology
      * destination @p dest (MSB first: stage 0 uses bit m-1).
      */
     unsigned
-    destBit(unsigned dest, unsigned stage) const
+    destDigit(unsigned dest, unsigned stage) const
     {
         return (dest >> (m - 1 - stage)) & 1;
     }
@@ -82,13 +116,6 @@ class OmegaTopology
         return (shuffle(line_in) & ~1u) | (out_bit & 1u);
     }
 
-    /** Switch index within @p stage receiving level-@p stage line. */
-    unsigned
-    switchIndex(unsigned line_in) const
-    {
-        return shuffle(line_in) >> 1;
-    }
-
     /**
      * The full source->destination path as the sequence of lines at
      * link levels 0 .. m (path.front() == src, path.back() == dst).
@@ -97,12 +124,17 @@ class OmegaTopology
 
     /**
      * Range of destinations reachable from a message that sits on
-     * level-@p level line @p line, as [lo, hi). At level i the
-     * destination's top i bits are already fixed by the line's low
-     * i bits.
+     * level-@p level line @p line, as [lo, hi).
      */
     void reachable(unsigned level, unsigned line,
                    unsigned &lo, unsigned &hi) const;
+
+    /** Smallest scheme-3 cube enclosing @p dests (non-empty). */
+    Cube
+    enclosing(const std::vector<NodeId> &dests) const
+    {
+        return Subcube::enclosing(dests);
+    }
 
   private:
     unsigned n;

@@ -13,7 +13,7 @@
  * where L is the lookahead -- a lower bound, guaranteed by the
  * model, on the timestamp increment of any cross-shard event (for
  * the omega network: the zero-load latency of the smallest message,
- * see net::TimedNetwork::minCrossLatency()). Within a window every
+ * see net::TimedNetwork::zeroLoadLookahead()). Within a window every
  * shard executes its local events with tick < W_end; events aimed
  * at another shard are enqueued into a lock-free bounded mailbox
  * and become safe to integrate once the window barrier has passed:

@@ -116,10 +116,7 @@ struct PdesTrafficSystem::Shard
 
     EventQueue eq;
     std::unique_ptr<net::OmegaNetwork> net;
-    std::vector<net::Traversal> traceScratch;
-    std::vector<Tick> doneScratch;
     std::vector<NodeId> destScratch;
-    DynamicBitset destBits;
     Counters c;
     core::OpLatencies lat;
     Tick maxCompletion = 0;
@@ -151,7 +148,6 @@ PdesTrafficSystem::PdesTrafficSystem(const PdesTrafficConfig &config)
     for (unsigned s = 0; s < map.numShards(); ++s) {
         auto sh = std::make_unique<Shard>();
         sh->net = std::make_unique<net::OmegaNetwork>(n_ports);
-        sh->destBits = DynamicBitset(n_ports);
         if (cfg.traceEnabled) {
             sh->tracer = std::make_unique<Tracer>(cfg.traceCapacity);
             sh->tracer->setEnabled(true);
@@ -488,55 +484,47 @@ PdesTrafficSystem::send(NodeId src, PtMsg m)
         return;
     }
     m.ev = static_cast<std::uint8_t>(Ev::Arrive);
-    sh.traceScratch.clear();
-    sh.net->traceUnicastInto(sh.traceScratch, src, m.dst,
-                             payloadBits(m.type));
     ++sh.c.messages;
-    sendTree(src, m, key);
+    const Bits bits = payloadBits(m.type);
+    sendTree(src, m, key, [&](Tick now, auto &&visit) {
+        sh.net->walkUnicast(src, m.dst, bits, now, visit);
+    });
 }
 
-void
+template <class WalkTree>
+std::uint64_t
 PdesTrafficSystem::sendTree(NodeId src, const PtMsg &m,
-                            std::uint64_t key)
+                            std::uint64_t key, WalkTree walk_tree)
 {
     Shard &sh = shardOfNode(src);
     NodeState &ss = *nodes[src];
     MetricSet *mx = sh.mx.get();
-    const Tick now = queueOfNode(src).curTick();
     const unsigned last_level = sh.net->numStages();
-    const std::vector<net::Traversal> &trace = sh.traceScratch;
-    std::vector<Tick> &done = sh.doneScratch;
-    done.resize(trace.size());
     std::uint64_t deliveries = 0;
 
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const net::Traversal &t = trace[i];
-        sh.net->linkStats().add(t.level, t.line, t.bits);
-        const Tick ready =
-            t.parent < 0
-                ? now
-                : done[static_cast<std::size_t>(t.parent)];
-        const Tick ser = serialization(t.bits);
+    // A link's value is the tick its message is done with it.
+    walk_tree(queueOfNode(src).curTick(), [&](unsigned level,
+                                              unsigned line, Bits bits,
+                                              Tick ready) {
+        sh.net->linkStats().add(level, line, bits);
+        const Tick ser = serialization(bits);
         Tick depart = ready;
-        if (t.level == 0) {
+        if (level == 0) {
             // Injection-link contention: the only serial resource
             // modelled inside the source's shard. Interior stages
             // are zero-load (DESIGN.md 5h); the destination port
             // clamp models the delivery end.
             depart = std::max(ready, ss.srcFree);
             ss.srcFree = depart + ser;
-            if (mx) {
-                mx->cell(pmid.stageWait, 0, t.line,
-                         depart - ready);
-            }
+            if (mx)
+                mx->cell(pmid.stageWait, 0, line, depart - ready);
         }
         if (mx)
-            mx->cell(pmid.stageBits, t.level, t.line, t.bits);
-        done[i] = depart + ser + cfg.hopLatency;
-        if (t.level == last_level) {
-            const NodeId dst = t.line;
-            Tick arrival =
-                std::max(done[i], ss.lastArrival[dst] + 1);
+            mx->cell(pmid.stageBits, level, line, bits);
+        const Tick done = depart + ser + cfg.hopLatency;
+        if (level == last_level) {
+            const NodeId dst = line;
+            Tick arrival = std::max(done, ss.lastArrival[dst] + 1);
             ss.lastArrival[dst] = arrival;
             ++deliveries;
             PtMsg dm = m;
@@ -544,9 +532,11 @@ PdesTrafficSystem::sendTree(NodeId src, const PtMsg &m,
             dm.ev = static_cast<std::uint8_t>(Ev::Arrive);
             scheduleEvent(src, dm, arrival, key);
         }
-    }
+        return done;
+    });
     if (mx)
         mx->sample(pmid.fanout, deliveries);
+    return deliveries;
 }
 
 void
@@ -642,47 +632,13 @@ PdesTrafficSystem::startWrite(NodeId h, DirEntry &d, const PtMsg &m,
         // machinery). Acks are counted per *delivery*: a scheme-3
         // subcube may overshoot the sharer set, and every reached
         // cache acknowledges, so the count stays consistent.
-        sh.traceScratch.clear();
-        net::Scheme s = cfg.scheme;
-        const Bits bits = payloadBits(inv.type);
-        if (s == net::Scheme::Combined) {
-            const auto costs =
-                sh.net->schemeCosts(h, dests, bits);
-            s = net::Scheme::Unicasts;
-            Bits best = costs.scheme1;
-            if (costs.scheme2 < best) {
-                s = net::Scheme::VectorRouting;
-                best = costs.scheme2;
-            }
-            if (costs.scheme3 < best)
-                s = net::Scheme::BroadcastTag;
-        }
-        switch (s) {
-          case net::Scheme::Unicasts:
-            sh.net->traceScheme1Into(sh.traceScratch, h, dests,
-                                     bits);
-            break;
-          case net::Scheme::VectorRouting:
-            sh.destBits.clear();
-            for (NodeId p : dests)
-                sh.destBits.set(p);
-            sh.net->traceScheme2Into(sh.traceScratch, h,
-                                     sh.destBits, bits);
-            break;
-          default:
-            sh.net->traceScheme3Into(
-                sh.traceScratch, h, net::Subcube::enclosing(dests),
-                bits);
-            break;
-        }
         ++sh.c.messages;
-        const unsigned last_level = sh.net->numStages();
-        for (const net::Traversal &t : sh.traceScratch) {
-            if (t.level == last_level)
-                ++acks;
-        }
         inv.ev = static_cast<std::uint8_t>(Ev::Arrive);
-        sendTree(h, inv, makeKey(h));
+        const Bits bits = payloadBits(inv.type);
+        acks += sendTree(h, inv, makeKey(h), [&](Tick now,
+                                                 auto &&visit) {
+            sh.net->walk(cfg.scheme, h, dests, bits, now, visit);
+        });
     }
 
     sh.c.invalidations += dests.size() + (self_target ? 1 : 0);

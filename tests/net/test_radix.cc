@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "analytic/multicast_cost.hh"
 #include "analytic/radix_cost.hh"
 #include "net/omega_network.hh"
-#include "net/radix_network.hh"
 #include "sim/random.hh"
 
 using namespace mscp;
@@ -147,6 +147,14 @@ TEST(RadixNetwork, Scheme2DeliversExactSetsAllRadices)
             EXPECT_EQ(sorted(r.delivered), dests);
         }
     }
+    // Every port of a 4096-port radix-16 network: the walk's stack
+    // peaks at m(a-1)+1 = 46 frames.
+    RadixOmegaNetwork big(4096, 16);
+    std::vector<NodeId> all(4096);
+    std::iota(all.begin(), all.end(), 0u);
+    auto r = big.multicast(Scheme::VectorRouting, 5, all, 20);
+    EXPECT_EQ(r.delivered, all);
+    EXPECT_EQ(r.totalBits, big.schemeCosts(5, all, 20).scheme2);
 }
 
 TEST(RadixNetwork, Scheme1MatchesRadixSeries)
@@ -243,19 +251,53 @@ TEST(RadixNetwork, HigherRadixCutsMulticastCost)
 
 TEST(RadixNetwork, CombinedPicksMinimum)
 {
-    RadixOmegaNetwork net(64, 4);
+    // On any radix every Combined path -- the trace path, the
+    // committed walk and schemeCosts -- makes the same eq. 8 choice:
+    // the minimum cost, with identical bits on identical links.
+    auto check = [](unsigned n_ports, unsigned a,
+                    const std::vector<NodeId> &dests, Bits payload) {
+        auto costs = RadixOmegaNetwork(n_ports, a)
+                         .evaluateAllSchemes(0, dests, payload);
+        auto sc = RadixOmegaNetwork(n_ports, a)
+                      .schemeCosts(0, dests, payload);
+        EXPECT_EQ(sc.scheme1, costs[0].totalBits);
+        EXPECT_EQ(sc.scheme2, costs[1].totalBits);
+        EXPECT_EQ(sc.scheme3, costs[2].totalBits);
+        Bits best = std::min({costs[0].totalBits, costs[1].totalBits,
+                              costs[2].totalBits});
+        RadixOmegaNetwork traced(n_ports, a);
+        auto r = traced.multicastCombined(0, dests, payload);
+        EXPECT_EQ(r.totalBits, best);
+        // Every requested destination reached.
+        for (NodeId d : dests)
+            EXPECT_TRUE(std::binary_search(r.delivered.begin(),
+                                           r.delivered.end(), d));
+        RadixOmegaNetwork committed(n_ports, a);
+        EXPECT_EQ(committed.multicastCommit(Scheme::Combined, 0, dests,
+                                            payload),
+                  best);
+        EXPECT_EQ(committed.linkStats(), traced.linkStats());
+        return r.used;
+    };
+
     Random rng(17);
     for (int trial = 0; trial < 40; ++trial) {
         auto k = static_cast<std::uint32_t>(rng.uniform(1, 32));
         auto set32 = rng.sampleWithoutReplacement(64, k);
-        std::vector<NodeId> dests(set32.begin(), set32.end());
-        auto r = net.multicastCombined(0, dests, 20);
-        // Every requested destination reached.
-        std::vector<NodeId> got = r.delivered;
-        for (NodeId d : dests)
-            EXPECT_TRUE(std::find(got.begin(), got.end(), d) !=
-                        got.end());
+        check(64, 4, std::vector<NodeId>(set32.begin(), set32.end()),
+              20);
     }
+    for (int trial = 0; trial < 40; ++trial) {
+        auto k = static_cast<std::uint32_t>(rng.uniform(1, 27));
+        auto set32 = rng.sampleWithoutReplacement(27, k);
+        check(27, 3, std::vector<NodeId>(set32.begin(), set32.end()),
+              20);
+    }
+    // Ties go to the lower scheme. {0, 3} at M = 10 costs 104 bits
+    // under all three schemes; {0, 1} at M = 23 costs 156 under
+    // schemes 2 and 3, whose scheme-3 cube also reaches port 2.
+    EXPECT_EQ(check(27, 3, {0, 3}, 10), Scheme::Unicasts);
+    EXPECT_EQ(check(27, 3, {0, 1}, 23), Scheme::VectorRouting);
 }
 
 TEST(RadixSubcube, EnclosingAndMembers)
@@ -263,7 +305,7 @@ TEST(RadixSubcube, EnclosingAndMembers)
     RadixOmegaTopology t(64, 4);
     auto cube = RadixSubcube::enclosing(t, {5, 9});
     // 5 = digits (0,1,1), 9 = (0,2,1): digit position 1 differs.
-    EXPECT_EQ(cube.freeMask, 2u);
+    EXPECT_EQ(cube.mask, 2u);
     EXPECT_EQ(cube.size(t), 4u);
     auto m = cube.members(t);
     EXPECT_EQ(m, (std::vector<NodeId>{1, 5, 9, 13}));

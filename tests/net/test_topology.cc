@@ -70,9 +70,9 @@ TEST(Topology, DestBitIsMsbFirst)
     OmegaTopology t(8);
     // destination 0b110: stage 0 uses bit 2 (1), stage 1 bit 1 (1),
     // stage 2 bit 0 (0).
-    EXPECT_EQ(t.destBit(0b110, 0), 1u);
-    EXPECT_EQ(t.destBit(0b110, 1), 1u);
-    EXPECT_EQ(t.destBit(0b110, 2), 0u);
+    EXPECT_EQ(t.destDigit(0b110, 0), 1u);
+    EXPECT_EQ(t.destDigit(0b110, 1), 1u);
+    EXPECT_EQ(t.destDigit(0b110, 2), 0u);
 }
 
 TEST(Topology, ReachableNarrowsByLevel)
