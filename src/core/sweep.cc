@@ -1,5 +1,6 @@
 #include "sweep.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -134,6 +135,15 @@ makeFaultPlan(const SweepPoint &pt)
     return plan;
 }
 
+/** The first line of @p text, without its indent. */
+std::string
+firstLine(const std::string &text)
+{
+    const std::size_t from = std::min(text.find_first_not_of(' '),
+                                      text.size());
+    return text.substr(from, text.find('\n', from) - from);
+}
+
 SweepResult
 runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
               std::ostream *metrics_out = nullptr,
@@ -183,6 +193,8 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
     out.homeQueued = proto.counters().homeQueued;
     out.pointerNacks = proto.counters().pointerNacks;
     out.deadlocks = r.deadlocks;
+    if (r.deadlocks)
+        out.deadlockReport = proto.deadlockReport();
     out.timeouts = proto.counters().timeouts;
     out.retries = proto.counters().retries;
     out.faultDrops = proto.faultCounters().totalDropped();
@@ -289,9 +301,13 @@ runSweep(const std::vector<SweepPoint> &points,
     std::string report;
     std::size_t failed = 0;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!errors[i])
+        const std::string &deadlock = results[i].deadlockReport;
+        if (!errors[i] && deadlock.empty())
             continue;
         const SweepPoint &pt = points[i];
+        const std::string error = errors[i]
+            ? *errors[i]
+            : "watchdog deadlock: " + firstLine(deadlock);
         const std::string crash = pt.crashNode == invalidNode
             ? std::string("no crash")
             : csprintf("crash node %u at tick %llu", pt.crashNode,
@@ -301,7 +317,7 @@ runSweep(const std::vector<SweepPoint> &points,
             "%s): %s",
             i, engineKindName(pt.engine),
             static_cast<unsigned long long>(pt.seed), pt.writeFraction,
-            pt.tasks, pt.numPorts, crash.c_str(), errors[i]->c_str());
+            pt.tasks, pt.numPorts, crash.c_str(), error.c_str());
         ++failed;
     }
     if (failed) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "core/system.hh"
@@ -127,6 +128,8 @@ struct SweepResult
     /** @} */
     /** @{ fault soak (concurrent engine only, zero otherwise) */
     std::uint64_t deadlocks = 0;
+    /** The engine's deadlockReport() when the watchdog fired. */
+    std::string deadlockReport;
     std::uint64_t timeouts = 0;
     std::uint64_t retries = 0;
     std::uint64_t faultDrops = 0;
@@ -198,12 +201,13 @@ bool capturePointObservability(const SweepPoint &pt,
  * results[i] corresponds to points[i] and is bit-identical for any
  * thread count.
  *
- * A point that throws (a panic or fatal error inside its run) does
- * not stop the others. Once every point has finished, runSweep
- * throws one std::runtime_error whose message lists each failed
- * point in index order -- index, engine, seed, w, tasks, ports,
- * crash schedule and the error text -- so the report is the same
- * for any thread count.
+ * A point that throws (a panic or fatal error inside its run) or
+ * whose watchdog reports a deadlock does not stop the others. Once
+ * every point has finished, runSweep throws one std::runtime_error
+ * whose message lists each failed point in index order -- index,
+ * engine, seed, w, tasks, ports, crash schedule, then the error
+ * text or "watchdog deadlock" and the first line of the deadlock
+ * report -- so the report is the same for any thread count.
  *
  * Threading knobs are orthogonal: MSCP_THREADS (ThreadPool) fans
  * independent points across workers, while MSCP_PDES_THREADS

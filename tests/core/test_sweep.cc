@@ -99,12 +99,17 @@ TEST(Sweep, RepeatedRunsAreReproducible)
 
 TEST(Sweep, FailedPointIsNamedForAnyThreadCount)
 {
-    // A 3-port omega network is a fatal configuration error. The
-    // sweep still runs every other point, then throws one error
-    // naming the failed point; the text is the same for 1 and 4
-    // threads.
+    // A 3-port omega network is a fatal configuration error, and a
+    // concurrent point whose every request is dropped, with no
+    // timeout to resend it, deadlocks under the watchdog. The sweep
+    // still runs every other point, then throws one error naming
+    // both failed points; the text is the same for 1 and 4 threads.
     auto points = mixedGrid();
     points[5].numPorts = 3;
+    ASSERT_EQ(points[16].engine, EngineKind::Concurrent);
+    points[16].timeoutBase = 0;
+    points[16].faultDropRate = 1;
+    points[16].watchdogPeriod = 1000;
     std::string what[2];
     const unsigned threads[2] = {1, 4};
     for (int t = 0; t < 2; ++t) {
@@ -116,13 +121,18 @@ TEST(Sweep, FailedPointIsNamedForAnyThreadCount)
         }
     }
     EXPECT_EQ(what[0], what[1]);
-    EXPECT_NE(what[0].find("1 of 18 points failed"), std::string::npos)
+    EXPECT_NE(what[0].find("2 of 18 points failed"), std::string::npos)
         << what[0];
-    EXPECT_NE(what[0].find("point 5 (full-map, seed 7, w=0.5, tasks 4, "
-                           "ports 3, no crash): fatal: omega network "
-                           "needs a power-of-two port count"),
-              std::string::npos)
-        << what[0];
+    const std::size_t fatal = what[0].find(
+        "point 5 (full-map, seed 7, w=0.5, tasks 4, ports 3, no "
+        "crash): fatal: omega network needs a power-of-two port "
+        "count");
+    const std::size_t deadlock = what[0].find(
+        "point 16 (concurrent, seed 7, w=0.1, tasks 4, ports 16, no "
+        "crash): watchdog deadlock: cpu0: ");
+    EXPECT_NE(fatal, std::string::npos) << what[0];
+    EXPECT_NE(deadlock, std::string::npos) << what[0];
+    EXPECT_LT(fatal, deadlock) << what[0];
 }
 
 TEST(Sweep, DifferentSeedsDiverge)
