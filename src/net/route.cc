@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "net/radix_topology.hh"
 #include "sim/logging.hh"
 
 namespace mscp::net
@@ -45,6 +46,68 @@ Subcube::enclosing(const std::vector<NodeId> &dests)
     for (NodeId d : dests)
         mask |= (d ^ base);
     return Subcube{base & ~mask, mask};
+}
+
+namespace
+{
+
+unsigned
+digitOf(const RadixOmegaTopology &topo, unsigned value,
+        unsigned position)
+{
+    return (value / topo.powRadix(position)) % topo.radix();
+}
+
+} // anonymous namespace
+
+std::vector<NodeId>
+RadixSubcube::members(const RadixOmegaTopology &topo) const
+{
+    std::vector<NodeId> out;
+    for (unsigned addr = 0; addr < topo.numPorts(); ++addr)
+        if (contains(topo, addr))
+            out.push_back(addr);
+    return out;
+}
+
+unsigned
+RadixSubcube::size(const RadixOmegaTopology &topo) const
+{
+    unsigned free_digits = static_cast<unsigned>(
+        std::popcount(mask));
+    unsigned s = 1;
+    for (unsigned i = 0; i < free_digits; ++i)
+        s *= topo.radix();
+    return s;
+}
+
+bool
+RadixSubcube::contains(const RadixOmegaTopology &topo,
+                       unsigned addr) const
+{
+    for (unsigned d = 0; d < topo.numStages(); ++d) {
+        if ((mask >> d) & 1)
+            continue;
+        if (digitOf(topo, addr, d) != digitOf(topo, base, d))
+            return false;
+    }
+    return true;
+}
+
+RadixSubcube
+RadixSubcube::enclosing(const RadixOmegaTopology &topo,
+                        const std::vector<NodeId> &dests)
+{
+    panic_if(dests.empty(), "enclosing cube of empty set");
+    RadixSubcube cube;
+    cube.base = dests.front();
+    for (NodeId v : dests) {
+        for (unsigned d = 0; d < topo.numStages(); ++d) {
+            if (digitOf(topo, v, d) != digitOf(topo, cube.base, d))
+                cube.mask |= 1u << d;
+        }
+    }
+    return cube;
 }
 
 } // namespace mscp::net
