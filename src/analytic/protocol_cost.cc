@@ -63,14 +63,6 @@ absNoCache(double w, std::uint64_t N, std::uint64_t M)
 }
 
 double
-absWriteOnce(double w, std::uint64_t n, std::uint64_t n1,
-             std::uint64_t N, std::uint64_t M)
-{
-    double inval = static_cast<double>(cc4Series(n, n1, N, M));
-    return w * (1 - w) * (inval + 2 * unit(N, M));
-}
-
-double
 absDistWrite(double w, std::uint64_t n, std::uint64_t n1,
              std::uint64_t N, std::uint64_t M)
 {

@@ -60,13 +60,6 @@ double wThreshold(double n);
  */
 double absNoCache(double w, std::uint64_t N, std::uint64_t M);
 
-/**
- * Absolute write-once cost per reference with the combined multicast
- * scheme used for the shared->exclusive invalidation burst.
- */
-double absWriteOnce(double w, std::uint64_t n, std::uint64_t n1,
-                    std::uint64_t N, std::uint64_t M);
-
 /** Absolute distributed-write cost per reference. */
 double absDistWrite(double w, std::uint64_t n, std::uint64_t n1,
                     std::uint64_t N, std::uint64_t M);

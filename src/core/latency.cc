@@ -95,20 +95,6 @@ LatencyHistogram::percentile(double p) const
     return maxSeen;
 }
 
-double
-LatencyHistogram::approxMean() const
-{
-    if (total == 0)
-        return 0.0;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < NumBuckets; ++i) {
-        if (counts[i])
-            sum += static_cast<double>(counts[i]) *
-                   static_cast<double>(bucketHigh(i));
-    }
-    return sum / static_cast<double>(total);
-}
-
 void
 OpLatencies::merge(const OpLatencies &other)
 {

@@ -59,10 +59,6 @@ class LatencyHistogram
      */
     Tick percentile(double p) const;
 
-    /** Mean of bucket upper bounds weighted by count (diagnostic;
-     *  exact sums stay with the engine's counters). */
-    double approxMean() const;
-
     bool operator==(const LatencyHistogram &) const = default;
 
   private:

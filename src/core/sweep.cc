@@ -13,7 +13,6 @@
 #include "proto/dragon.hh"
 #include "proto/full_map.hh"
 #include "proto/no_cache.hh"
-#include "proto/stenstrom.hh"
 #include "proto/write_once.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
@@ -58,6 +57,18 @@ makeStream(const SweepPoint &pt)
     return workload::SharedBlockWorkload(p);
 }
 
+/** The sweep's view of an atomic engine's run. */
+SweepResult
+atomicResult(const proto::RunResult &r)
+{
+    SweepResult out;
+    out.refs = r.refs;
+    out.networkBits = r.networkBits;
+    out.messages = r.messages;
+    out.valueErrors = r.valueErrors;
+    return out;
+}
+
 template <typename Proto>
 SweepResult
 runBaseline(const SweepPoint &pt)
@@ -65,13 +76,7 @@ runBaseline(const SweepPoint &pt)
     net::OmegaNetwork net(pt.numPorts);
     Proto proto(net, proto::MessageSizes{}, pt.blockWords);
     auto stream = makeStream(pt);
-    proto::RunResult r = proto.run(stream);
-    SweepResult out;
-    out.refs = r.refs;
-    out.networkBits = r.networkBits;
-    out.messages = r.messages;
-    out.valueErrors = r.valueErrors;
-    return out;
+    return atomicResult(proto.run(stream));
 }
 
 SweepResult
@@ -85,30 +90,7 @@ runTwoMode(const SweepPoint &pt, PolicyKind policy)
     cfg.adaptWindow = pt.adaptWindow;
     System sys(cfg);
     auto stream = makeStream(pt);
-    proto::RunResult r = sys.run(stream);
-    SweepResult out;
-    out.refs = r.refs;
-    out.networkBits = r.networkBits;
-    out.messages = r.messages;
-    out.valueErrors = r.valueErrors;
-    return out;
-}
-
-SweepResult
-runAtomic(const SweepPoint &pt)
-{
-    net::OmegaNetwork net(pt.numPorts);
-    proto::StenstromParams sp;
-    sp.geometry = cache::Geometry{pt.blockWords, pt.sets, pt.assoc};
-    proto::StenstromProtocol proto(net, sp);
-    auto stream = makeStream(pt);
-    proto::RunResult r = proto.run(stream);
-    SweepResult out;
-    out.refs = r.refs;
-    out.networkBits = r.networkBits;
-    out.messages = proto.messageCounters().totalCount();
-    out.valueErrors = r.valueErrors;
-    return out;
+    return atomicResult(sys.run(stream));
 }
 
 /**
@@ -125,13 +107,8 @@ makeFaultPlan(const SweepPoint &pt)
     plan.of(FaultClass::Request).drop = pt.faultDropRate;
     plan.of(FaultClass::Request).duplicate = pt.faultDupRate;
     plan.of(FaultClass::Reply).duplicate = pt.faultDupRate;
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(FaultClass::NumClasses);
-         ++c) {
-        FaultRates &r = plan.rates[c];
+    for (FaultRates &r : plan.rates)
         r.delay = pt.faultDelayRate;
-        r.delayMax = pt.faultDelayMax;
-    }
     return plan;
 }
 
@@ -158,7 +135,6 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
             pt.crashNode, pt.crashTick,
             pt.crashRestartDelta
                 ? pt.crashTick + pt.crashRestartDelta : 0);
-        cp.crashSuspectDelay = pt.crashSuspectDelay;
     }
     cp.timeoutBase = pt.timeoutBase;
     cp.maxRetries = pt.maxRetries;
@@ -169,7 +145,6 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
     cp.traceCapacity = pt.traceCapacity;
     cp.metricsEnabled = pt.metricsEnabled || metrics_out != nullptr;
     cp.metricsWindow = pt.metricsWindow;
-    cp.metricsCapacity = pt.metricsCapacity;
     proto::ConcurrentProtocol proto(net, cp);
     auto stream = makeStream(pt);
     proto::ConcurrentRunResult r = proto.run(stream);
@@ -233,7 +208,7 @@ runPoint(const SweepPoint &pt)
       case EngineKind::TwoModeAdaptive:
         return runTwoMode(pt, PolicyKind::Adaptive);
       case EngineKind::AtomicTwoMode:
-        return runAtomic(pt);
+        return runTwoMode(pt, PolicyKind::EngineDefault);
       case EngineKind::Concurrent:
         return runConcurrent(pt);
     }

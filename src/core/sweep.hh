@@ -75,7 +75,6 @@ struct SweepPoint
     double faultDropRate = 0;   ///< request-drop probability
     double faultDupRate = 0;    ///< request/reply dup probability
     double faultDelayRate = 0;  ///< extra-delay probability
-    Tick faultDelayMax = 8;     ///< max random extra delay, ticks
     std::uint64_t faultSeed = 0xfa117;
     Tick timeoutBase = 0;       ///< 0 = timeouts off
     unsigned maxRetries = 8;
@@ -92,9 +91,6 @@ struct SweepPoint
     NodeId crashNode = invalidNode;
     Tick crashTick = 0;
     Tick crashRestartDelta = 0;
-    /** Ticks the homes wait after a crash before sweeping the dead
-     *  node's ownerships (must exceed the in-flight horizon). */
-    Tick crashSuspectDelay = 2000;
     /** @} */
 
     /** @{ observability (concurrent engine only) */
@@ -106,9 +102,8 @@ struct SweepPoint
     /** Enable windowed metrics for this point (sim/metrics.hh);
      *  runPointObserved forces it on when given a metrics stream. */
     bool metricsEnabled = false;
-    /** Metrics window width in ticks / snapshot ring capacity. */
+    /** Metrics window width in ticks. */
     Tick metricsWindow = 2048;
-    std::size_t metricsCapacity = 1024;
     /** @} */
 };
 

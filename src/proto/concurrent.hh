@@ -223,7 +223,6 @@ class ConcurrentProtocol
 
     /** @{ windowed metrics (empty unless metricsEnabled) */
     const MetricsRegistry &metricsRegistry() const { return mreg; }
-    const MetricsSampler &metricsSampler() const { return msampler; }
     /** The held window series, oldest-first. */
     std::vector<MetricsWindow>
     metricsWindows() const

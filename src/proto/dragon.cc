@@ -5,76 +5,6 @@
 namespace mscp::proto
 {
 
-DragonUpdateProtocol::DragonUpdateProtocol(net::OmegaNetwork &network,
-                                           MessageSizes sizes,
-                                           unsigned block_words,
-                                           net::Scheme scheme)
-    : CoherenceProtocol(network, sizes), blockWords(block_words),
-      scheme(scheme)
-{
-    unsigned n = network.numPorts();
-    caches.resize(n);
-    for (unsigned i = 0; i < n; ++i)
-        memories.emplace_back(static_cast<NodeId>(i), blockWords);
-}
-
-DragonUpdateProtocol::DirEntry &
-DragonUpdateProtocol::dir(BlockId block)
-{
-    auto it = directory.find(block);
-    if (it == directory.end()) {
-        DirEntry d;
-        d.sharers = DynamicBitset(
-            static_cast<unsigned>(caches.size()));
-        it = directory.emplace(block, std::move(d)).first;
-    }
-    return it->second;
-}
-
-DragonUpdateProtocol::Line *
-DragonUpdateProtocol::findLine(NodeId cpu, BlockId blk)
-{
-    auto it = caches[cpu].find(blk);
-    return it == caches[cpu].end() ? nullptr : &it->second;
-}
-
-std::vector<NodeId>
-DragonUpdateProtocol::sharersOf(BlockId block) const
-{
-    auto it = directory.find(block);
-    if (it == directory.end())
-        return {};
-    return it->second.sharers.setBits();
-}
-
-std::uint64_t
-DragonUpdateProtocol::read(NodeId cpu, Addr addr)
-{
-    BlockId blk = addr / blockWords;
-    auto off = static_cast<unsigned>(addr % blockWords);
-    ++ctrs.reads;
-
-    std::uint64_t v;
-    if (Line *l = findLine(cpu, blk)) {
-        ++ctrs.readHits;
-        v = l->data[off];
-    } else {
-        // Memory is kept consistent by write-through updates, so
-        // the home always supplies fresh data.
-        ++ctrs.readMisses;
-        NodeId home = homeOf(blk);
-        sendUnicast(MsgType::LoadReq, cpu, home, 0);
-        sendUnicast(MsgType::DataBlock, home, cpu,
-                    sizes.blockPayload(blockWords));
-        Line &nl = caches[cpu][blk];
-        nl.data = memories[home].readBlock(blk);
-        dir(blk).sharers.set(cpu);
-        v = nl.data[off];
-    }
-    goldenRead(addr, v);
-    return v;
-}
-
 void
 DragonUpdateProtocol::write(NodeId cpu, Addr addr,
                             std::uint64_t value)
@@ -88,13 +18,7 @@ DragonUpdateProtocol::write(NodeId cpu, Addr addr,
     if (!l) {
         // Write miss: join the sharers first.
         ++ctrs.writeMisses;
-        sendUnicast(MsgType::LoadReq, cpu, home, 0);
-        sendUnicast(MsgType::DataBlock, home, cpu,
-                    sizes.blockPayload(blockWords));
-        Line &nl = caches[cpu][blk];
-        nl.data = memories[home].readBlock(blk);
-        dir(blk).sharers.set(cpu);
-        l = &nl;
+        l = &fetchBlock(cpu, blk, LineState::Shared);
     } else {
         ++ctrs.writeHits;
     }
@@ -105,11 +29,7 @@ DragonUpdateProtocol::write(NodeId cpu, Addr addr,
     memories[home].writeWord(blk, off, value);
     ++ctrs.writeThroughs;
 
-    DirEntry &d = dir(blk);
-    std::vector<NodeId> dests;
-    for (auto s : d.sharers.setBits())
-        if (s != cpu)
-            dests.push_back(s);
+    std::vector<NodeId> dests = otherSharers(dir(blk), cpu);
     if (!dests.empty()) {
         sendMulticast(MsgType::DwUpdate, scheme, home, dests,
                       sizes.wordBits);

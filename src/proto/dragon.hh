@@ -9,65 +9,25 @@
  * datum to the home module, which updates memory and multicasts the
  * update to the other sharers, so every read after the first miss
  * is a local hit - the behaviour eq. 11 models with CC_DW = w CC4.
+ * Memory stays fresh, so every miss is served by the home.
  */
 
 #ifndef MSCP_PROTO_DRAGON_HH
 #define MSCP_PROTO_DRAGON_HH
 
-#include <unordered_map>
-#include <vector>
-
-#include "mem/memory_module.hh"
-#include "proto/full_map.hh"
-#include "proto/protocol.hh"
-#include "sim/bitset.hh"
+#include "proto/directory.hh"
 
 namespace mscp::proto
 {
 
 /** Update-based (distributed-write) directory protocol. */
-class DragonUpdateProtocol : public CoherenceProtocol
+class DragonUpdateProtocol : public DirectoryProtocol
 {
   public:
-    DragonUpdateProtocol(net::OmegaNetwork &network,
-                         MessageSizes sizes, unsigned block_words,
-                         net::Scheme scheme = net::Scheme::Combined);
+    using DirectoryProtocol::DirectoryProtocol;
 
-    std::uint64_t read(NodeId cpu, Addr addr) override;
     void write(NodeId cpu, Addr addr, std::uint64_t value) override;
     std::string protoName() const override { return "dragon-update"; }
-
-    const DirectoryCounters &counters() const { return ctrs; }
-
-    NodeId
-    homeOf(BlockId block) const
-    {
-        return static_cast<NodeId>(block % memories.size());
-    }
-
-    /** Sharer set of a block (for tests). */
-    std::vector<NodeId> sharersOf(BlockId block) const;
-
-  private:
-    struct Line
-    {
-        std::vector<std::uint64_t> data;
-    };
-
-    struct DirEntry
-    {
-        DynamicBitset sharers;
-    };
-
-    DirEntry &dir(BlockId block);
-    Line *findLine(NodeId cpu, BlockId blk);
-
-    unsigned blockWords;
-    net::Scheme scheme;
-    DirectoryCounters ctrs;
-    std::vector<std::unordered_map<BlockId, Line>> caches;
-    std::vector<mem::MemoryModule> memories;
-    std::unordered_map<BlockId, DirEntry> directory;
 };
 
 } // namespace mscp::proto

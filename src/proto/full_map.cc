@@ -1,155 +1,33 @@
 #include "full_map.hh"
 
-#include "sim/logging.hh"
-
 namespace mscp::proto
 {
-
-FullMapProtocol::FullMapProtocol(net::OmegaNetwork &network,
-                                 MessageSizes sizes,
-                                 unsigned block_words,
-                                 net::Scheme scheme)
-    : CoherenceProtocol(network, sizes), blockWords(block_words),
-      scheme(scheme)
-{
-    unsigned n = network.numPorts();
-    caches.resize(n);
-    for (unsigned i = 0; i < n; ++i)
-        memories.emplace_back(static_cast<NodeId>(i), blockWords);
-}
-
-FullMapProtocol::DirEntry &
-FullMapProtocol::dir(BlockId block)
-{
-    auto it = directory.find(block);
-    if (it == directory.end()) {
-        DirEntry d;
-        d.sharers = DynamicBitset(
-            static_cast<unsigned>(caches.size()));
-        it = directory.emplace(block, std::move(d)).first;
-    }
-    return it->second;
-}
-
-const FullMapProtocol::DirEntry *
-FullMapProtocol::dirEntry(BlockId block) const
-{
-    auto it = directory.find(block);
-    return it == directory.end() ? nullptr : &it->second;
-}
-
-FullMapProtocol::Line *
-FullMapProtocol::findLine(NodeId cpu, BlockId blk)
-{
-    auto it = caches[cpu].find(blk);
-    return it == caches[cpu].end() ? nullptr : &it->second;
-}
-
-void
-FullMapProtocol::recallDirty(NodeId home, BlockId blk, DirEntry &d)
-{
-    if (d.dirtyOwner == invalidNode)
-        return;
-    NodeId o = d.dirtyOwner;
-    ++ctrs.recalls;
-    sendUnicast(MsgType::LoadFwd, home, o, 0);
-    Line *ol = findLine(o, blk);
-    panic_if(!ol, "directory dirty owner lost its line");
-    sendUnicast(MsgType::WriteBack, o, home,
-                sizes.blockPayload(blockWords));
-    memories[home].writeBlock(blk, ol->data);
-    ol->exclusive = false;
-    d.dirtyOwner = invalidNode;
-    ++ctrs.writeBacks;
-}
-
-void
-FullMapProtocol::invalidateSharers(NodeId home, BlockId blk,
-                                   DirEntry &d, NodeId except)
-{
-    std::vector<NodeId> dests;
-    for (auto s : d.sharers.setBits())
-        if (s != except)
-            dests.push_back(s);
-    if (dests.empty())
-        return;
-    sendMulticast(MsgType::Invalidate, scheme, home, dests, 0);
-    ++ctrs.invalidations;
-    for (NodeId s : dests) {
-        caches[s].erase(blk);
-        d.sharers.reset(s);
-    }
-}
-
-FullMapProtocol::Line &
-FullMapProtocol::fetchBlock(NodeId cpu, BlockId blk, bool exclusive)
-{
-    NodeId home = homeOf(blk);
-    DirEntry &d = dir(blk);
-
-    recallDirty(home, blk, d);
-    if (exclusive)
-        invalidateSharers(home, blk, d, cpu);
-
-    sendUnicast(MsgType::DataBlock, home, cpu,
-                sizes.blockPayload(blockWords));
-    Line &l = caches[cpu][blk];
-    l.data = memories[home].readBlock(blk);
-    l.exclusive = exclusive;
-    d.sharers.set(cpu);
-    if (exclusive)
-        d.dirtyOwner = cpu;
-    return l;
-}
-
-std::uint64_t
-FullMapProtocol::read(NodeId cpu, Addr addr)
-{
-    BlockId blk = addr / blockWords;
-    auto off = static_cast<unsigned>(addr % blockWords);
-    ++ctrs.reads;
-
-    std::uint64_t v;
-    if (Line *l = findLine(cpu, blk)) {
-        ++ctrs.readHits;
-        v = l->data[off];
-    } else {
-        ++ctrs.readMisses;
-        sendUnicast(MsgType::LoadReq, cpu, homeOf(blk), 0);
-        v = fetchBlock(cpu, blk, false).data[off];
-    }
-    goldenRead(addr, v);
-    return v;
-}
 
 void
 FullMapProtocol::write(NodeId cpu, Addr addr, std::uint64_t value)
 {
     BlockId blk = addr / blockWords;
     auto off = static_cast<unsigned>(addr % blockWords);
-    NodeId home = homeOf(blk);
     ++ctrs.writes;
 
     Line *l = findLine(cpu, blk);
-    if (l && l->exclusive) {
+    if (l && l->state == LineState::Dirty) {
         ++ctrs.writeHits;
-        l->data[off] = value;
     } else if (l) {
         // Upgrade: ask the home to invalidate the other copies.
         ++ctrs.writeHits;
+        NodeId home = homeOf(blk);
         sendUnicast(MsgType::OwnReq, cpu, home, 0);
         DirEntry &d = dir(blk);
-        invalidateSharers(home, blk, d, cpu);
+        invalidateSharers(blk, d, cpu);
         sendUnicast(MsgType::OfferAck, home, cpu, 0);
-        l->exclusive = true;
+        l->state = LineState::Dirty;
         d.dirtyOwner = cpu;
-        l->data[off] = value;
     } else {
         ++ctrs.writeMisses;
-        sendUnicast(MsgType::LoadOwnReq, cpu, home, 0);
-        Line &nl = fetchBlock(cpu, blk, true);
-        nl.data[off] = value;
+        l = &fetchBlock(cpu, blk, LineState::Dirty);
     }
+    l->data[off] = value;
     goldenWrite(addr, value);
 }
 

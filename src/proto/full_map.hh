@@ -3,109 +3,27 @@
  * Memory-resident full-map directory baseline (Censier & Feautrier
  * 1978), the O(NM)-state contrast of the paper's introduction.
  *
- * Each home module keeps, per block, a presence bit vector and a
- * dirty bit. Writes invalidate the other copies via a directory
- * multicast; a dirty copy is recalled through the home on a remote
- * read. All consistency traffic flows through the memory module
- * (no cache-to-cache bypass), which is exactly the indirection the
- * paper's distributed scheme removes.
- *
- * The baselines model the paper's evaluation assumption that the
- * cache is big enough for the shared data structure: lines are
- * stored in unbounded per-cache maps and capacity replacement is
- * not modelled (capacity effects are studied with the Stenstrom
- * engine, which has real geometry).
+ * A write to a shared copy asks the home to invalidate the other
+ * copies; the writer then holds the one Dirty copy, which a remote
+ * miss recalls through the home (proto/directory.hh).
  */
 
 #ifndef MSCP_PROTO_FULL_MAP_HH
 #define MSCP_PROTO_FULL_MAP_HH
 
-#include <unordered_map>
-#include <vector>
-
-#include "mem/memory_module.hh"
-#include "proto/protocol.hh"
-#include "sim/bitset.hh"
+#include "proto/directory.hh"
 
 namespace mscp::proto
 {
 
-/** Counters shared by the directory baselines. */
-struct DirectoryCounters
-{
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t readHits = 0;
-    std::uint64_t readMisses = 0;
-    std::uint64_t writeHits = 0;
-    std::uint64_t writeMisses = 0;
-    std::uint64_t invalidations = 0; ///< invalidation multicasts
-    std::uint64_t updates = 0;       ///< update multicasts (Dragon)
-    std::uint64_t recalls = 0;       ///< dirty-copy recalls
-    std::uint64_t writeBacks = 0;
-    std::uint64_t writeThroughs = 0;
-};
-
 /** Invalidation-based full-map directory protocol. */
-class FullMapProtocol : public CoherenceProtocol
+class FullMapProtocol : public DirectoryProtocol
 {
   public:
-    FullMapProtocol(net::OmegaNetwork &network, MessageSizes sizes,
-                    unsigned block_words,
-                    net::Scheme scheme = net::Scheme::Combined);
+    using DirectoryProtocol::DirectoryProtocol;
 
-    std::uint64_t read(NodeId cpu, Addr addr) override;
     void write(NodeId cpu, Addr addr, std::uint64_t value) override;
     std::string protoName() const override { return "full-map"; }
-
-    const DirectoryCounters &counters() const { return ctrs; }
-
-    NodeId
-    homeOf(BlockId block) const
-    {
-        return static_cast<NodeId>(block % memories.size());
-    }
-
-    /** Directory entry (exposed for tests). */
-    struct DirEntry
-    {
-        DynamicBitset sharers;
-        NodeId dirtyOwner = invalidNode; ///< cache w/ dirty copy
-    };
-
-    /** @return directory entry of @p block, or nullptr if absent. */
-    const DirEntry *dirEntry(BlockId block) const;
-
-  private:
-    /** One cached line. */
-    struct Line
-    {
-        bool exclusive = false; ///< writable (dirty) copy
-        std::vector<std::uint64_t> data;
-    };
-
-    DirEntry &dir(BlockId block);
-    Line *findLine(NodeId cpu, BlockId blk);
-
-    /**
-     * Miss handling: recall a dirty copy if any, invalidate all
-     * copies when @p exclusive, and install the block at @p cpu.
-     */
-    Line &fetchBlock(NodeId cpu, BlockId blk, bool exclusive);
-
-    /** Recall the dirty copy (if any) into memory via the home. */
-    void recallDirty(NodeId home, BlockId blk, DirEntry &d);
-
-    /** Invalidate every sharer except @p except. */
-    void invalidateSharers(NodeId home, BlockId blk, DirEntry &d,
-                           NodeId except);
-
-    unsigned blockWords;
-    net::Scheme scheme;
-    DirectoryCounters ctrs;
-    std::vector<std::unordered_map<BlockId, Line>> caches;
-    std::vector<mem::MemoryModule> memories;
-    std::unordered_map<BlockId, DirEntry> directory;
 };
 
 } // namespace mscp::proto

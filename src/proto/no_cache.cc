@@ -3,15 +3,6 @@
 namespace mscp::proto
 {
 
-NoCacheProtocol::NoCacheProtocol(net::OmegaNetwork &network,
-                                 MessageSizes sizes,
-                                 unsigned block_words)
-    : CoherenceProtocol(network, sizes), blockWords(block_words)
-{
-    for (unsigned i = 0; i < network.numPorts(); ++i)
-        memories.emplace_back(static_cast<NodeId>(i), blockWords);
-}
-
 std::uint64_t
 NoCacheProtocol::read(NodeId cpu, Addr addr)
 {

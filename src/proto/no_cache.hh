@@ -12,9 +12,6 @@
 #ifndef MSCP_PROTO_NO_CACHE_HH
 #define MSCP_PROTO_NO_CACHE_HH
 
-#include <vector>
-
-#include "mem/memory_module.hh"
 #include "proto/protocol.hh"
 
 namespace mscp::proto
@@ -24,22 +21,11 @@ namespace mscp::proto
 class NoCacheProtocol : public CoherenceProtocol
 {
   public:
-    NoCacheProtocol(net::OmegaNetwork &network, MessageSizes sizes,
-                    unsigned block_words);
+    using CoherenceProtocol::CoherenceProtocol;
 
     std::uint64_t read(NodeId cpu, Addr addr) override;
     void write(NodeId cpu, Addr addr, std::uint64_t value) override;
     std::string protoName() const override { return "no-cache"; }
-
-    NodeId
-    homeOf(BlockId block) const
-    {
-        return static_cast<NodeId>(block % memories.size());
-    }
-
-  private:
-    unsigned blockWords;
-    std::vector<mem::MemoryModule> memories;
 };
 
 } // namespace mscp::proto

@@ -5,6 +5,16 @@
 namespace mscp::proto
 {
 
+CoherenceProtocol::CoherenceProtocol(net::OmegaNetwork &network,
+                                     MessageSizes sizes,
+                                     unsigned block_words)
+    : net(network), sizes(sizes), blockWords(block_words)
+{
+    memories.reserve(network.numPorts());
+    for (unsigned i = 0; i < network.numPorts(); ++i)
+        memories.emplace_back(static_cast<NodeId>(i), blockWords);
+}
+
 void
 CoherenceProtocol::sendUnicast(MsgType t, NodeId src, NodeId dst,
                                Bits payload)
@@ -36,15 +46,12 @@ CoherenceProtocol::sendMulticast(MsgType t, net::Scheme scheme,
 void
 CoherenceProtocol::goldenWrite(Addr addr, std::uint64_t value)
 {
-    if (goldenCheck)
-        golden[addr] = value;
+    golden[addr] = value;
 }
 
 void
 CoherenceProtocol::goldenRead(Addr addr, std::uint64_t value)
 {
-    if (!goldenCheck)
-        return;
     auto it = golden.find(addr);
     std::uint64_t expect = it == golden.end() ? 0 : it->second;
     if (value != expect) {

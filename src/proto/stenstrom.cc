@@ -12,17 +12,14 @@ using cache::State;
 
 StenstromProtocol::StenstromProtocol(net::OmegaNetwork &network,
                                      StenstromParams p)
-    : CoherenceProtocol(network, p.sizes), params(p)
+    : CoherenceProtocol(network, p.sizes, p.geometry.blockWords),
+      params(p)
 {
     params.geometry.check();
     unsigned n = network.numPorts();
     caches.reserve(n);
-    memories.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < n; ++i)
         caches.emplace_back(params.geometry, n);
-        memories.emplace_back(static_cast<NodeId>(i),
-                              params.geometry.blockWords);
-    }
 }
 
 cache::Entry &
@@ -122,14 +119,7 @@ StenstromProtocol::readMissPointer(NodeId cpu, Entry &e, BlockId blk,
         // 2-Invalid-(a): owner replies with a copy; requester's
         // entry becomes a valid UnOwned copy. (Unreachable while
         // GR->DW switches drop pointers, kept for fidelity.)
-        sendUnicast(MsgType::DataBlock, o, cpu,
-                    sizes.blockPayload(params.geometry.blockWords));
-        oe.field.state = State::OwnedNonExclDW;
-        e.data = oe.data;
-        e.field.state = State::UnOwned;
-        e.field.owner = invalidNode;
-        ++ctrs.readMissOwnedDW;
-        return e.data[off];
+        return copyFromOwner(cpu, &e, o, oe, blk, off);
     }
     // 2-Invalid-(b): owner replies with the datum only.
     sendUnicast(MsgType::Datum, o, cpu, sizes.wordBits);
@@ -149,17 +139,8 @@ StenstromProtocol::readMissNoEntry(NodeId cpu, BlockId blk,
     if (!mm.blockStore().hasOwner(blk)) {
         // 2-nonexistent-(a): no other copy; load from memory and
         // become exclusive owner.
-        mm.blockStore().setOwner(blk, cpu);
-        sendUnicast(MsgType::DataBlock, home, cpu,
-                    sizes.blockPayload(params.geometry.blockWords));
-        Entry &e = allocateEntry(cpu, blk);
-        e.data = mm.readBlock(blk);
-        e.field.state = cache::ownedState(params.defaultMode, true);
-        e.field.modified = false;
-        e.field.present.clear();
-        e.field.present.set(cpu);
         ++ctrs.readMissUncached;
-        return e.data[off];
+        return fillUncached(cpu, blk).data[off];
     }
 
     // 2-nonexistent-(b): forward to the owner.
@@ -171,15 +152,7 @@ StenstromProtocol::readMissNoEntry(NodeId cpu, BlockId blk,
 
     if (cache::modeOf(oe.field.state) == Mode::DistributedWrite) {
         // (b)-i: owner sends a copy; requester becomes UnOwned.
-        sendUnicast(MsgType::DataBlock, o, cpu,
-                    sizes.blockPayload(params.geometry.blockWords));
-        oe.field.state = State::OwnedNonExclDW;
-        Entry &e = allocateEntry(cpu, blk);
-        e.data = oe.data;
-        e.field.state = State::UnOwned;
-        e.field.owner = invalidNode;
-        ++ctrs.readMissOwnedDW;
-        return e.data[off];
+        return copyFromOwner(cpu, nullptr, o, oe, blk, off);
     }
     // (b)-ii: owner sends the datum and its identification only;
     // requester reserves an Invalid entry caching the OWNER.
@@ -250,8 +223,7 @@ StenstromProtocol::writeOwned(NodeId cpu, Entry &e, BlockId blk,
     if (e.field.state == State::OwnedNonExclDW) {
         // 3-(b): distribute the write to every present copy.
         auto dests = othersPresent(e, cpu);
-        sendMulticast(MsgType::DwUpdate, chooseScheme(static_cast<unsigned>(dests.size())),
-                      cpu, dests, sizes.wordBits);
+        multicast(MsgType::DwUpdate, cpu, dests, sizes.wordBits);
         ++ctrs.dwUpdates;
         for (NodeId d : dests) {
             Entry *de = caches[d].find(blk);
@@ -289,46 +261,15 @@ StenstromProtocol::acquireFromUnOwned(NodeId cpu, Entry &e,
         sendUnicast(MsgType::StateXfer, o, cpu,
                     sizes.statePayload(numCaches()));
         e.field.present = oe.field.present;
-        e.field.present.set(cpu);
         e.field.modified = oe.field.modified;
-        e.field.state = State::OwnedNonExclDW;
         e.field.owner = invalidNode;
-        oe.field.state = State::UnOwned;
-        oe.field.modified = false;
-        oe.field.present.clear();
     } else {
         // 3-(d)-ii: copy + state field; old owner announces the
         // new owner to the invalid copies and invalidates itself.
-        sendUnicast(MsgType::StateCopyXfer, o, cpu,
-                    sizes.statePayload(numCaches()) +
-                    sizes.blockPayload(params.geometry.blockWords));
-        e.data = oe.data;
-        e.field.present = oe.field.present;
-        e.field.present.set(cpu);
-        e.field.modified = oe.field.modified;
-        e.field.owner = invalidNode;
-
-        std::vector<NodeId> dests;
-        for (auto i : e.field.present.setBits())
-            if (i != cpu && i != o)
-                dests.push_back(i);
-        if (!dests.empty()) {
-            sendMulticast(MsgType::OwnerAnnounce,
-                          chooseScheme(static_cast<unsigned>(dests.size())), o, dests,
-                          sizes.ownerIdPayload(numCaches()));
-            ++ctrs.ownerAnnounces;
-            for (NodeId d : dests) {
-                Entry *de = caches[d].find(blk);
-                if (de && de->field.state == State::Invalid)
-                    de->field.owner = cpu;
-            }
-        }
-        oe.field.state = State::Invalid;
-        oe.field.owner = cpu;
-        oe.field.modified = false;
-        oe.field.present.clear();
-        e.field.state = State::OwnedNonExclGR;
+        copyState(o, oe, cpu, e);
     }
+    e.field.present.set(cpu);
+    retireOwner(o, oe, cpu, e, blk);
 }
 
 cache::Entry &
@@ -342,16 +283,7 @@ StenstromProtocol::writeMissAcquire(NodeId cpu, BlockId blk)
         // 4-(a): no other copy; paper sets Owned Exclusively
         // Global Read (the configured default mode).
         ++ctrs.writeMissUncached;
-        mm.blockStore().setOwner(blk, cpu);
-        sendUnicast(MsgType::DataBlock, home, cpu,
-                    sizes.blockPayload(params.geometry.blockWords));
-        Entry &e = allocateEntry(cpu, blk);
-        e.data = mm.readBlock(blk);
-        e.field.state = cache::ownedState(params.defaultMode, true);
-        e.field.modified = false;
-        e.field.present.clear();
-        e.field.present.set(cpu);
-        return e;
+        return fillUncached(cpu, blk);
     }
 
     // 4-(b): other copies exist (or our entry is Invalid).
@@ -363,47 +295,115 @@ StenstromProtocol::writeMissAcquire(NodeId cpu, BlockId blk)
     sendUnicast(MsgType::LoadOwnFwd, home, o, 0);
     Entry &oe = ownerEntry(o, blk);
     oe.field.present.set(cpu);
-    Mode m = cache::modeOf(oe.field.state);
 
+    // 4-(b)-i/ii: copy + state field; in DW the old owner's copy
+    // becomes UnOwned, in GR it announces the new owner and
+    // invalidates itself. The victim evicted here holds another
+    // block, so oe keeps its mode.
     Entry &e = allocateEntry(cpu, blk);
-    sendUnicast(MsgType::StateCopyXfer, o, cpu,
-                sizes.statePayload(numCaches()) +
-                sizes.blockPayload(params.geometry.blockWords));
-    e.data = oe.data;
-    e.field.present = oe.field.present;
-    e.field.modified = oe.field.modified;
-    e.field.owner = invalidNode;
+    copyState(o, oe, cpu, e);
+    retireOwner(o, oe, cpu, e, blk);
+    return e;
+}
 
-    if (m == Mode::DistributedWrite) {
-        // 4-(b)-i: old owner's copy becomes UnOwned.
+cache::Entry &
+StenstromProtocol::fillUncached(NodeId cpu, BlockId blk)
+{
+    NodeId home = homeOf(blk);
+    auto &mm = memories[home];
+    mm.blockStore().setOwner(blk, cpu);
+    sendUnicast(MsgType::DataBlock, home, cpu,
+                sizes.blockPayload(blockWords));
+    Entry &e = allocateEntry(cpu, blk);
+    e.data = mm.readBlock(blk);
+    e.field.state = cache::ownedState(params.defaultMode, true);
+    e.field.modified = false;
+    e.field.present.clear();
+    e.field.present.set(cpu);
+    return e;
+}
+
+std::uint64_t
+StenstromProtocol::copyFromOwner(NodeId cpu, Entry *e, NodeId o,
+                                 Entry &oe, BlockId blk, unsigned off)
+{
+    sendUnicast(MsgType::DataBlock, o, cpu,
+                sizes.blockPayload(blockWords));
+    oe.field.state = State::OwnedNonExclDW;
+    Entry &ce = e ? *e : allocateEntry(cpu, blk);
+    ce.data = oe.data;
+    ce.field.state = State::UnOwned;
+    ce.field.owner = invalidNode;
+    ++ctrs.readMissOwnedDW;
+    return ce.data[off];
+}
+
+void
+StenstromProtocol::copyState(NodeId from, const Entry &src, NodeId to,
+                             Entry &dst)
+{
+    sendUnicast(MsgType::StateCopyXfer, from, to,
+                sizes.statePayload(numCaches()) +
+                sizes.blockPayload(blockWords));
+    dst.data = src.data;
+    dst.field.present = src.field.present;
+    dst.field.modified = src.field.modified;
+    dst.field.owner = invalidNode;
+}
+
+void
+StenstromProtocol::retireOwner(NodeId o, Entry &oe, NodeId cpu,
+                               Entry &e, BlockId blk)
+{
+    if (cache::modeOf(oe.field.state) == Mode::DistributedWrite) {
         oe.field.state = State::UnOwned;
-        oe.field.modified = false;
-        oe.field.present.clear();
         e.field.state = State::OwnedNonExclDW;
     } else {
-        // 4-(b)-ii: announce the new owner, invalidate old copy.
-        std::vector<NodeId> dests;
-        for (auto i : e.field.present.setBits())
-            if (i != cpu && i != o)
-                dests.push_back(i);
-        if (!dests.empty()) {
-            sendMulticast(MsgType::OwnerAnnounce,
-                          chooseScheme(static_cast<unsigned>(dests.size())), o, dests,
-                          sizes.ownerIdPayload(numCaches()));
-            ++ctrs.ownerAnnounces;
-            for (NodeId d : dests) {
-                Entry *de = caches[d].find(blk);
-                if (de && de->field.state == State::Invalid)
-                    de->field.owner = cpu;
-            }
-        }
+        announceOwner(o, cpu, blk, e.field.present);
         oe.field.state = State::Invalid;
         oe.field.owner = cpu;
-        oe.field.modified = false;
-        oe.field.present.clear();
         e.field.state = State::OwnedNonExclGR;
     }
-    return e;
+    oe.field.modified = false;
+    oe.field.present.clear();
+}
+
+void
+StenstromProtocol::announceOwner(NodeId old_owner, NodeId new_owner,
+                                 BlockId blk,
+                                 const DynamicBitset &present)
+{
+    std::vector<NodeId> dests;
+    for (auto i : present.setBits())
+        if (i != new_owner && i != old_owner)
+            dests.push_back(i);
+    if (dests.empty())
+        return;
+    multicast(MsgType::OwnerAnnounce, old_owner, dests,
+              sizes.ownerIdPayload(numCaches()));
+    ++ctrs.ownerAnnounces;
+    for (NodeId d : dests) {
+        Entry *de = caches[d].find(blk);
+        if (de && de->field.state == State::Invalid)
+            de->field.owner = new_owner;
+    }
+}
+
+void
+StenstromProtocol::releaseExclusive(NodeId cpu, const Entry &victim)
+{
+    BlockId vb = victim.block;
+    NodeId home = homeOf(vb);
+    auto &mm = memories[home];
+    if (victim.field.modified) {
+        sendUnicast(MsgType::WriteBack, cpu, home,
+                    sizes.blockPayload(blockWords));
+        mm.writeBlock(vb, victim.data);
+        ++ctrs.writeBacks;
+    } else {
+        sendUnicast(MsgType::BsClear, cpu, home, 0);
+    }
+    mm.blockStore().clear(vb);
 }
 
 void
@@ -422,16 +422,7 @@ StenstromProtocol::replaceVictim(NodeId cpu, Entry &victim)
       case State::OwnedExclGR:
         // 5-(a): exclude from the block store, write back if dirty.
         ++ctrs.replOwnedExcl;
-        if (victim.field.modified) {
-            sendUnicast(MsgType::WriteBack, cpu, home,
-                        sizes.blockPayload(
-                            params.geometry.blockWords));
-            mm.writeBlock(vb, victim.data);
-            ++ctrs.writeBacks;
-        } else {
-            sendUnicast(MsgType::BsClear, cpu, home, 0);
-        }
-        mm.blockStore().clear(vb);
+        releaseExclusive(cpu, victim);
         break;
 
       case State::OwnedNonExclDW:
@@ -502,31 +493,9 @@ StenstromProtocol::handoffOwnership(NodeId cpu, Entry &victim)
             panic_if(je->field.state != State::Invalid,
                      "GR hand-off target in state %s",
                      cache::stateName(je->field.state));
-            sendUnicast(MsgType::StateCopyXfer, cpu, j,
-                        sizes.statePayload(numCaches()) +
-                        sizes.blockPayload(
-                            params.geometry.blockWords));
-            je->data = victim.data;
-            je->field.present = victim.field.present;
-            je->field.modified = victim.field.modified;
-            je->field.owner = invalidNode;
+            copyState(cpu, victim, j, *je);
             je->field.state = State::OwnedNonExclGR;
-
-            std::vector<NodeId> dests;
-            for (auto i : victim.field.present.setBits())
-                if (i != cpu && i != j)
-                    dests.push_back(i);
-            if (!dests.empty()) {
-                sendMulticast(MsgType::OwnerAnnounce,
-                              chooseScheme(static_cast<unsigned>(dests.size())), cpu, dests,
-                              sizes.ownerIdPayload(numCaches()));
-                ++ctrs.ownerAnnounces;
-                for (NodeId d : dests) {
-                    Entry *de = caches[d].find(vb);
-                    if (de && de->field.state == State::Invalid)
-                        de->field.owner = j;
-                }
-            }
+            announceOwner(cpu, j, vb, victim.field.present);
         }
         // The departing cache has the new owner clear its P flag.
         sendUnicast(MsgType::PresentClear, cpu, j, 0);
@@ -546,13 +515,9 @@ StenstromProtocol::allNackFallback(NodeId cpu, Entry &victim)
     // if modified and clears the block store entry.
     ++ctrs.handoffFallbacks;
     BlockId vb = victim.block;
-    NodeId home = homeOf(vb);
-    auto &mm = memories[home];
-
     auto dests = othersPresent(victim, cpu);
     if (!dests.empty()) {
-        sendMulticast(MsgType::Invalidate, chooseScheme(static_cast<unsigned>(dests.size())),
-                      cpu, dests, 0);
+        multicast(MsgType::Invalidate, cpu, dests, 0);
         ++ctrs.invalidations;
         for (NodeId d : dests) {
             Entry *de = caches[d].find(vb);
@@ -560,15 +525,7 @@ StenstromProtocol::allNackFallback(NodeId cpu, Entry &victim)
                 caches[d].evict(*de);
         }
     }
-    if (victim.field.modified) {
-        sendUnicast(MsgType::WriteBack, cpu, home,
-                    sizes.blockPayload(params.geometry.blockWords));
-        mm.writeBlock(vb, victim.data);
-        ++ctrs.writeBacks;
-    } else {
-        sendUnicast(MsgType::BsClear, cpu, home, 0);
-    }
-    mm.blockStore().clear(vb);
+    releaseExclusive(cpu, victim);
 }
 
 void
@@ -600,9 +557,8 @@ StenstromProtocol::setMode(NodeId cpu, Addr addr, cache::Mode mode)
         // the present vector now tracks invalid copies.
         if (e->field.state == State::OwnedNonExclDW) {
             auto dests = othersPresent(*e, cpu);
-            sendMulticast(MsgType::Invalidate,
-                          chooseScheme(static_cast<unsigned>(dests.size())), cpu, dests,
-                          sizes.ownerIdPayload(numCaches()));
+            multicast(MsgType::Invalidate, cpu, dests,
+                      sizes.ownerIdPayload(numCaches()));
             ++ctrs.invalidations;
             for (NodeId d : dests) {
                 Entry *de = caches[d].find(blk);
@@ -620,8 +576,7 @@ StenstromProtocol::setMode(NodeId cpu, Addr addr, cache::Mode mode)
         // present vector again tracks valid copies only.
         if (e->field.state == State::OwnedNonExclGR) {
             auto dests = othersPresent(*e, cpu);
-            sendMulticast(MsgType::DropPointer,
-                          chooseScheme(static_cast<unsigned>(dests.size())), cpu, dests, 0);
+            multicast(MsgType::DropPointer, cpu, dests, 0);
             for (NodeId d : dests) {
                 Entry *de = caches[d].find(blk);
                 if (de)
@@ -634,12 +589,15 @@ StenstromProtocol::setMode(NodeId cpu, Addr addr, cache::Mode mode)
     }
 }
 
-net::Scheme
-StenstromProtocol::chooseScheme(unsigned n) const
+void
+StenstromProtocol::multicast(MsgType t, NodeId src,
+                             const std::vector<NodeId> &dests,
+                             Bits payload)
 {
-    if (params.schemePolicy)
-        return params.schemePolicy(n);
-    return params.multicastScheme;
+    net::Scheme scheme = params.schemePolicy
+        ? params.schemePolicy(static_cast<unsigned>(dests.size()))
+        : params.multicastScheme;
+    sendMulticast(t, scheme, src, dests, payload);
 }
 
 NodeId

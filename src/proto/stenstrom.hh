@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "cache/cache_array.hh"
-#include "mem/memory_module.hh"
 #include "proto/protocol.hh"
 
 namespace mscp::proto
@@ -127,10 +126,6 @@ class StenstromProtocol : public CoherenceProtocol
     {
         return caches[c];
     }
-    const mem::MemoryModule &memoryModule(unsigned i) const
-    {
-        return memories[i];
-    }
     const cache::Geometry &geometry() const
     {
         return params.geometry;
@@ -146,13 +141,6 @@ class StenstromProtocol : public CoherenceProtocol
     using NackInjector = std::function<bool(NodeId cand,
                                             BlockId block)>;
     void setNackInjector(NackInjector fn) { nackInjector = fn; }
-
-    /** Home memory module (co-located port) of a block. */
-    NodeId
-    homeOf(BlockId block) const
-    {
-        return static_cast<NodeId>(block % memories.size());
-    }
 
   private:
     using Entry = cache::Entry;
@@ -173,6 +161,44 @@ class StenstromProtocol : public CoherenceProtocol
     void allNackFallback(NodeId cpu, Entry &victim);
     /** @} */
 
+    /** @{ steps several actions share */
+    /**
+     * 2/4-(a), no copy anywhere: register @p cpu as owner, load the
+     * block from memory and install it Owned Exclusively in the
+     * default mode.
+     */
+    Entry &fillUncached(NodeId cpu, BlockId blk);
+
+    /** DW read miss at a present owner: it sends a copy, and the
+     *  requester (@p e, or a newly allocated entry) holds it
+     *  UnOwned. */
+    std::uint64_t copyFromOwner(NodeId cpu, Entry *e, NodeId o,
+                                Entry &oe, BlockId blk, unsigned off);
+
+    /** Hand copy and state field from @p src at @p from to @p dst
+     *  at @p to (StateCopyXfer); @p dst gets no OWNER pointer. */
+    void copyState(NodeId from, const Entry &src, NodeId to,
+                   Entry &dst);
+
+    /**
+     * Ownership of @p blk moved from @p o to @p cpu: in DW the old
+     * owner keeps a valid UnOwned copy, in GR it announces the new
+     * owner and keeps an OWNER pointer to it.
+     */
+    void retireOwner(NodeId o, Entry &oe, NodeId cpu, Entry &e,
+                     BlockId blk);
+
+    /** GR: tell every pointer holder in @p present but the two
+     *  owners that @p new_owner now owns @p blk, and repoint them. */
+    void announceOwner(NodeId old_owner, NodeId new_owner,
+                       BlockId blk, const DynamicBitset &present);
+
+    /** Owner @p cpu drops the last copy of @p victim's block: a
+     *  write-back if modified, else BsClear, then the home clears
+     *  the block-store entry. */
+    void releaseExclusive(NodeId cpu, const Entry &victim);
+    /** @} */
+
     /**
      * Get the entry @p blk will use at @p cpu, running the
      * replacement protocol on a victim if necessary, then
@@ -187,8 +213,10 @@ class StenstromProtocol : public CoherenceProtocol
     std::vector<NodeId> othersPresent(const Entry &e,
                                       NodeId self) const;
 
-    /** Scheme for a multicast of @p n destinations. */
-    net::Scheme chooseScheme(unsigned n) const;
+    /** Multicast with the configured scheme or, if set, the scheme
+     *  policy's choice for this destination count. */
+    void multicast(MsgType t, NodeId src,
+                   const std::vector<NodeId> &dests, Bits payload);
 
     /** Collapse to exclusive when the present set is only self. */
     void maybeExclusive(Entry &e, NodeId self);
@@ -196,7 +224,6 @@ class StenstromProtocol : public CoherenceProtocol
     StenstromParams params;
     StenstromCounters ctrs;
     std::vector<cache::CacheArray> caches;
-    std::vector<mem::MemoryModule> memories;
     NackInjector nackInjector;
 };
 

@@ -1,114 +1,7 @@
 #include "write_once.hh"
 
-#include "sim/logging.hh"
-
 namespace mscp::proto
 {
-
-WriteOnceProtocol::WriteOnceProtocol(net::OmegaNetwork &network,
-                                     MessageSizes sizes,
-                                     unsigned block_words,
-                                     net::Scheme scheme)
-    : CoherenceProtocol(network, sizes), blockWords(block_words),
-      scheme(scheme)
-{
-    unsigned n = network.numPorts();
-    caches.resize(n);
-    for (unsigned i = 0; i < n; ++i)
-        memories.emplace_back(static_cast<NodeId>(i), blockWords);
-}
-
-WriteOnceProtocol::DirEntry &
-WriteOnceProtocol::dir(BlockId block)
-{
-    auto it = directory.find(block);
-    if (it == directory.end()) {
-        DirEntry d;
-        d.sharers = DynamicBitset(
-            static_cast<unsigned>(caches.size()));
-        it = directory.emplace(block, std::move(d)).first;
-    }
-    return it->second;
-}
-
-WriteOnceProtocol::Line *
-WriteOnceProtocol::findLine(NodeId cpu, BlockId blk)
-{
-    auto it = caches[cpu].find(blk);
-    return it == caches[cpu].end() ? nullptr : &it->second;
-}
-
-void
-WriteOnceProtocol::recallDirty(NodeId home, BlockId blk, DirEntry &d)
-{
-    if (d.dirtyOwner == invalidNode)
-        return;
-    NodeId o = d.dirtyOwner;
-    ++ctrs.recalls;
-    sendUnicast(MsgType::LoadFwd, home, o, 0);
-    Line *ol = findLine(o, blk);
-    panic_if(!ol, "dirty owner lost its line");
-    if (ol->state == LineState::Dirty) {
-        sendUnicast(MsgType::WriteBack, o, home,
-                    sizes.blockPayload(blockWords));
-        memories[home].writeBlock(blk, ol->data);
-        ++ctrs.writeBacks;
-    } else {
-        // Reserved: memory already consistent (write-once).
-        sendUnicast(MsgType::OfferAck, o, home, 0);
-    }
-    ol->state = LineState::Valid;
-    d.dirtyOwner = invalidNode;
-}
-
-void
-WriteOnceProtocol::invalidateSharers(NodeId home, BlockId blk,
-                                     DirEntry &d, NodeId except)
-{
-    std::vector<NodeId> dests;
-    for (auto s : d.sharers.setBits())
-        if (s != except)
-            dests.push_back(s);
-    if (dests.empty())
-        return;
-    sendMulticast(MsgType::Invalidate, scheme, home, dests, 0);
-    ++ctrs.invalidations;
-    for (NodeId s : dests) {
-        caches[s].erase(blk);
-        d.sharers.reset(s);
-    }
-}
-
-std::uint64_t
-WriteOnceProtocol::read(NodeId cpu, Addr addr)
-{
-    BlockId blk = addr / blockWords;
-    auto off = static_cast<unsigned>(addr % blockWords);
-    ++ctrs.reads;
-
-    std::uint64_t v;
-    if (Line *l = findLine(cpu, blk)) {
-        ++ctrs.readHits;
-        v = l->data[off];
-    } else {
-        // Exclusive -> shared transition of Fig. 7: a dirty or
-        // reserved copy is pulled back, then the block is shared.
-        ++ctrs.readMisses;
-        NodeId home = homeOf(blk);
-        sendUnicast(MsgType::LoadReq, cpu, home, 0);
-        DirEntry &d = dir(blk);
-        recallDirty(home, blk, d);
-        sendUnicast(MsgType::DataBlock, home, cpu,
-                    sizes.blockPayload(blockWords));
-        Line &nl = caches[cpu][blk];
-        nl.state = LineState::Valid;
-        nl.data = memories[home].readBlock(blk);
-        d.sharers.set(cpu);
-        v = nl.data[off];
-    }
-    goldenRead(addr, v);
-    return v;
-}
 
 void
 WriteOnceProtocol::write(NodeId cpu, Addr addr, std::uint64_t value)
@@ -119,7 +12,7 @@ WriteOnceProtocol::write(NodeId cpu, Addr addr, std::uint64_t value)
     ++ctrs.writes;
 
     Line *l = findLine(cpu, blk);
-    if (l && l->state != LineState::Valid) {
+    if (l && l->state != LineState::Shared) {
         // Reserved/Dirty: write locally, line becomes Dirty.
         ++ctrs.writeHits;
         l->data[off] = value;
@@ -133,7 +26,7 @@ WriteOnceProtocol::write(NodeId cpu, Addr addr, std::uint64_t value)
         sendUnicast(MsgType::MemWrite, cpu, home, sizes.wordBits);
         memories[home].writeWord(blk, off, value);
         DirEntry &d = dir(blk);
-        invalidateSharers(home, blk, d, cpu);
+        invalidateSharers(blk, d, cpu);
         l->data[off] = value;
         l->state = LineState::Reserved;
         d.dirtyOwner = cpu;
@@ -142,20 +35,9 @@ WriteOnceProtocol::write(NodeId cpu, Addr addr, std::uint64_t value)
         // first write (write-through + invalidations).
         ++ctrs.writeMisses;
         ++ctrs.writeThroughs;
-        sendUnicast(MsgType::LoadOwnReq, cpu, home, 0);
-        DirEntry &d = dir(blk);
-        recallDirty(home, blk, d);
-        invalidateSharers(home, blk, d, cpu);
-        sendUnicast(MsgType::DataBlock, home, cpu,
-                    sizes.blockPayload(blockWords));
-        Line &nl = caches[cpu][blk];
-        nl.data = memories[home].readBlock(blk);
-        nl.data[off] = value;
-        nl.state = LineState::Reserved;
+        fetchBlock(cpu, blk, LineState::Reserved).data[off] = value;
         sendUnicast(MsgType::MemWrite, cpu, home, sizes.wordBits);
         memories[home].writeWord(blk, off, value);
-        d.sharers.set(cpu);
-        d.dirtyOwner = cpu;
     }
     goldenWrite(addr, value);
 }

@@ -4,76 +4,32 @@
  * Fig. 7 Markov model, adapted from bus snooping to a directory
  * multicast on the multistage network.
  *
- * Per-cache line states: Valid (clean, shared), Reserved (written
- * once, memory consistent, sole copy) and Dirty (written more than
- * once, memory stale); absence of a line is Invalid. The first
- * write to a Valid line writes the datum through to memory and
- * invalidates the other copies (the shared -> exclusive transition
- * of Fig. 7); a remote read of a Reserved/Dirty line pulls the
- * block back and re-shares it (exclusive -> shared).
+ * Per-cache line states: Valid (clean, shared; the directory's
+ * Shared), Reserved (written once, memory consistent, sole copy)
+ * and Dirty (written more than once, memory stale); absence of a
+ * line is Invalid. The first write to a Valid line writes the datum
+ * through to memory and invalidates the other copies (the shared ->
+ * exclusive transition of Fig. 7); a remote miss on a Reserved/Dirty
+ * line pulls the block back and re-shares it (exclusive -> shared,
+ * proto/directory.hh).
  */
 
 #ifndef MSCP_PROTO_WRITE_ONCE_HH
 #define MSCP_PROTO_WRITE_ONCE_HH
 
-#include <unordered_map>
-#include <vector>
-
-#include "mem/memory_module.hh"
-#include "proto/full_map.hh"
-#include "proto/protocol.hh"
-#include "sim/bitset.hh"
+#include "proto/directory.hh"
 
 namespace mscp::proto
 {
 
 /** Goodman's write-once protocol over a directory. */
-class WriteOnceProtocol : public CoherenceProtocol
+class WriteOnceProtocol : public DirectoryProtocol
 {
   public:
-    WriteOnceProtocol(net::OmegaNetwork &network, MessageSizes sizes,
-                      unsigned block_words,
-                      net::Scheme scheme = net::Scheme::Combined);
+    using DirectoryProtocol::DirectoryProtocol;
 
-    std::uint64_t read(NodeId cpu, Addr addr) override;
     void write(NodeId cpu, Addr addr, std::uint64_t value) override;
     std::string protoName() const override { return "write-once"; }
-
-    const DirectoryCounters &counters() const { return ctrs; }
-
-    NodeId
-    homeOf(BlockId block) const
-    {
-        return static_cast<NodeId>(block % memories.size());
-    }
-
-  private:
-    enum class LineState : std::uint8_t { Valid, Reserved, Dirty };
-
-    struct Line
-    {
-        LineState state = LineState::Valid;
-        std::vector<std::uint64_t> data;
-    };
-
-    struct DirEntry
-    {
-        DynamicBitset sharers;
-        NodeId dirtyOwner = invalidNode;
-    };
-
-    DirEntry &dir(BlockId block);
-    Line *findLine(NodeId cpu, BlockId blk);
-    void recallDirty(NodeId home, BlockId blk, DirEntry &d);
-    void invalidateSharers(NodeId home, BlockId blk, DirEntry &d,
-                           NodeId except);
-
-    unsigned blockWords;
-    net::Scheme scheme;
-    DirectoryCounters ctrs;
-    std::vector<std::unordered_map<BlockId, Line>> caches;
-    std::vector<mem::MemoryModule> memories;
-    std::unordered_map<BlockId, DirEntry> directory;
 };
 
 } // namespace mscp::proto

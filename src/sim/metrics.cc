@@ -70,15 +70,6 @@ MetricSet::MetricSet(const MetricsRegistry &registry)
 {}
 
 void
-MetricSet::mergeFrom(const MetricSet &other)
-{
-    panic_if(cells.size() != other.cells.size(),
-             "metrics: merging sets of different shape");
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        cells[i] += other.cells[i];
-}
-
-void
 MetricSet::clear()
 {
     std::fill(cells.begin(), cells.end(), 0);

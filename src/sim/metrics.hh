@@ -227,20 +227,6 @@ class MetricSet
 #endif
     }
 
-    /** Overwrite grid cell (@p row, @p col). */
-    void
-    setCell(MetricId id, std::uint32_t row, std::uint32_t col,
-            std::uint64_t v)
-    {
-#ifndef MSCP_METRICS_DISABLED
-        if (!_enabled)
-            return;
-        cells[id.slot + row * id.cols + col] = v;
-#else
-        (void)id; (void)row; (void)col; (void)v;
-#endif
-    }
-
     /** Current value of cell (@p row, @p col) of a series. */
     std::uint64_t
     value(MetricId id, std::uint32_t row = 0,
@@ -250,13 +236,6 @@ class MetricSet
     }
 
     const std::vector<std::uint64_t> &values() const { return cells; }
-
-    /**
-     * Element-wise addition of @p other's cells (same registry
-     * shape). Commutative and associative, so per-shard sets merge
-     * bit-identically in any order.
-     */
-    void mergeFrom(const MetricSet &other);
 
     /** Zero every cell (enable state unchanged). */
     void clear();
@@ -363,8 +342,6 @@ class MetricsSampler
      * the run completes; idempotent per window index.
      */
     void finish(Tick final_tick);
-
-    Tick windowTicks() const { return w; }
 
     /** Snapshots ever taken (including overwritten ones). */
     std::uint64_t snapshots() const { return head; }

@@ -217,8 +217,8 @@ class WindowBarrier
 /**
  * Static partition of nodes (processor + co-located memory home)
  * onto shards: contiguous, balanced blocks, so a shard's nodes are
- * a dense range and the map is a pure function of (numNodes,
- * numShards) -- results cannot depend on thread count by
+ * a dense range and the map is a pure function of the node and
+ * shard counts -- results cannot depend on thread count by
  * construction.
  */
 class ShardMap
@@ -233,7 +233,6 @@ class ShardMap
     }
 
     unsigned numShards() const { return shards; }
-    unsigned numNodes() const { return nodes; }
 
     /** Shard owning node @p n. */
     unsigned

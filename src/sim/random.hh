@@ -49,14 +49,6 @@ class Random
         return real() < p;
     }
 
-    /** Geometric draw: number of failures before first success. */
-    std::uint64_t
-    geometric(double p)
-    {
-        panic_if(p <= 0 || p > 1, "geometric p out of (0,1]");
-        return std::geometric_distribution<std::uint64_t>(p)(rng);
-    }
-
     /**
      * Sample @p k distinct values from [0, n) without replacement
      * (Floyd's algorithm), returned in ascending order.

@@ -184,7 +184,7 @@ TEST(Dragon, WritesUpdateInsteadOfInvalidate)
     EXPECT_EQ(p.counters().updates, 1u);
     EXPECT_EQ(p.counters().invalidations, 0u);
     // Sharer set unchanged; reader hits locally with the new value.
-    EXPECT_EQ(p.sharersOf(9).size(), 2u);
+    EXPECT_EQ(p.dirEntry(9)->sharers.count(), 2u);
     auto hits = p.counters().readHits;
     EXPECT_EQ(p.read(5, addr), 5u);
     EXPECT_EQ(p.counters().readHits, hits + 1);
