@@ -4,7 +4,9 @@
  * configs must exhaust (or stay within budget) with zero
  * violations, exploration must be deterministic, symmetry
  * reduction must shrink the state count without changing the
- * verdict, and replay must reproduce states exactly.
+ * verdict, and replay must reproduce states exactly. The two known
+ * defects (ROADMAP items 1 and 2) are pinned as minimized golden
+ * counterexamples.
  */
 
 #include <gtest/gtest.h>
@@ -210,7 +212,7 @@ TEST(Verify, PorExhaustsThreeCpuConfig)
 
 TEST(Verify, PorAuditMatchesFullExploration)
 {
-    // The self-check the sweep's --por-audit mode runs on every
+    // The self-check verify_sweep's audit column runs on every
     // config: the reduced exploration must reach the same verdict
     // and the same settled-state invariant coverage as the full
     // one. A lighter two-set 3-cpu variant keeps the full leg fast.
@@ -429,6 +431,43 @@ scheduleDigest(const VerifyConfig &cfg, unsigned schedules,
     return os.str();
 }
 
+/** Byte-compare @p rendered with golden file @p file, honouring
+ *  MSCP_UPDATE_GOLDEN. */
+void
+expectGolden(const char *file, const std::string &rendered)
+{
+    const std::string path =
+        std::string(MSCP_VERIFY_GOLDEN_DIR) + "/" + file;
+    if (std::getenv("MSCP_UPDATE_GOLDEN")) {
+        std::ofstream out(path, std::ios::binary);
+        out << rendered;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good())
+        << "missing golden file " << path
+        << " (regenerate with MSCP_UPDATE_GOLDEN=1)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(golden.str(), rendered)
+        << file << " drifted from the checked-in golden; if the "
+           "change is intentional, regenerate with "
+           "MSCP_UPDATE_GOLDEN=1";
+}
+
+/** Explore @p cfg with POR and render its first violation,
+ *  minimized; empty if it explores clean. */
+std::string
+minimizedCounterexample(VerifyConfig cfg)
+{
+    cfg.opt.por = true;
+    Explorer ex(cfg);
+    ExploreResult res = ex.explore();
+    if (res.violations.empty())
+        return {};
+    return Explorer::renderViolation(cfg, res.violations[0],
+                                     ex.minimize(res.violations[0]));
+}
+
 } // anonymous namespace
 
 TEST(Verify, RandomSchedulesMatchGoldenDigest)
@@ -463,21 +502,56 @@ TEST(Verify, RandomSchedulesMatchGoldenDigest)
     std::string rendered;
     for (const VerifyConfig &cfg : cfgs)
         rendered += scheduleDigest(cfg, 300, 80);
+    expectGolden("golden_schedule_digest.txt", rendered);
+}
 
-    const std::string path =
-        std::string(MSCP_VERIFY_GOLDEN_DIR) + "/golden_schedule_digest.txt";
-    if (std::getenv("MSCP_UPDATE_GOLDEN")) {
-        std::ofstream out(path, std::ios::binary);
-        out << rendered;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << path
-        << " (regenerate with MSCP_UPDATE_GOLDEN=1)";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(golden.str(), rendered)
-        << "schedule digest drifted from the checked-in golden; if "
-           "the change is intentional, regenerate with "
-           "MSCP_UPDATE_GOLDEN=1";
+// ---------------------------------------------------------------
+// Known defects, checked in as minimized counterexamples. Each
+// golden pins today's violation; the fix replaces the expectation
+// with a clean exhaust (an empty rendering).
+// ---------------------------------------------------------------
+
+TEST(Verify, CrashRejoinDefectMinimizesToGolden)
+{
+    // ROADMAP item 1(b): cpu0 hands ownership to cpu1 and sends
+    // cpu2 an OwnerAnnounce, then dies before the announce lands;
+    // crashNode's scrub drops cpu2's pointer to cpu0, but cpu1's
+    // present vector still names cpu2 (I4).
+    VerifyConfig cfg;
+    cfg.name = "F-crash-rejoin";
+    cfg.nodes = 4;
+    cfg.geometry = cache::Geometry{1, 1, 1};
+    cfg.mode = cache::Mode::GlobalRead;
+    cfg.program = {
+        {{0, 0, true, 1}, {0, 0, false, 0}},
+        {{1, 0, false, 0}, {1, 0, true, 2}},
+        {{2, 0, false, 0}},
+    };
+    cfg.opt.crashBudget = 1;
+    cfg.opt.allowRejoin = true;
+    cfg.opt.timeoutBase = 1;
+    cfg.opt.maxRetries = 1;
+    cfg.opt.dedupResends = true;
+    expectGolden("golden_crash_rejoin_min.txt",
+                 minimizedCounterexample(cfg));
+}
+
+TEST(Verify, TwoWriterFalsePositiveMinimizesToGolden)
+{
+    // ROADMAP item 2: a write still in its Commit window when
+    // ownership moves completes after the next owner's write, and
+    // I10 takes the last write to complete as the latest one, so it
+    // flags a linearizable run.
+    VerifyConfig cfg;
+    cfg.name = "G-two-writers";
+    cfg.nodes = 4;
+    cfg.geometry = cache::Geometry{1, 1, 1};
+    cfg.mode = cache::Mode::GlobalRead;
+    cfg.program = {
+        {{0, 0, true, 7}, {0, 1, true, 8}},
+        {{1, 0, false, 0}, {1, 1, false, 0}},
+        {{2, 0, false, 0}, {2, 1, true, 9}},
+    };
+    expectGolden("golden_two_writers_min.txt",
+                 minimizedCounterexample(cfg));
 }
