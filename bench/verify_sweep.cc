@@ -14,10 +14,8 @@
  * settled-state counts and an identical order-independent digest
  * over the distinct settled states (the invariant-checked
  * coverage). A mismatch is a soundness bug in the reduction and
- * fails the process. `--por-audit` restricts the run to exactly
- * this audit (no liveness/refinement legs), which is the CI
- * self-check that the ample/sleep-set machinery never trades
- * coverage for speed.
+ * fails the process: the self-check that the ample/sleep-set
+ * machinery never trades coverage for speed.
  *
  * Exhaustible configs additionally run the liveness checker
  * (liveness.hh: weakly fair accepting cycles over the full graph)
@@ -54,7 +52,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -181,7 +178,7 @@ audit(const ExploreResult &full, const ExploreResult &por)
 }
 
 void
-runRow(Row &row, bool audit_only)
+runRow(Row &row)
 {
     VerifyConfig cf = row.cfg;
     cf.opt.por = false;
@@ -204,8 +201,6 @@ runRow(Row &row, bool audit_only)
     }
 
     row.auditOk = audit(row.full, row.por);
-    if (audit_only)
-        return;
 
     if (row.full.complete && row.full.violations.empty()) {
         row.live = verify::checkLiveness(row.cfg);
@@ -240,15 +235,9 @@ legCell(const ExploreResult &r, bool ran, const char *bad)
 int
 main(int argc, char **argv)
 {
-    bool audit_only = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--por-audit") == 0) {
-            audit_only = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--por-audit]\n", argv[0]);
-            return 2;
-        }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
     }
 
     setLogLevel(LogLevel::Silent);
@@ -258,7 +247,7 @@ main(int argc, char **argv)
     ThreadPool::parallelFor(rows.size(),
                             ThreadPool::defaultThreads(),
                             [&](std::size_t i) {
-                                runRow(rows[i], audit_only);
+                                runRow(rows[i]);
                             });
 
     std::printf("%-10s %9s %9s %6s %8s %6s %9s %8s %7s %s\n",
@@ -267,9 +256,8 @@ main(int argc, char **argv)
     bool failed = false;
     for (Row &row : rows) {
         const ExploreResult &r = row.full;
-        bool liveRan = !audit_only && r.complete &&
-                       r.violations.empty();
-        bool refineRan = !audit_only && row.refineLeg;
+        bool liveRan = r.complete && r.violations.empty();
+        bool refineRan = row.refineLeg;
         const char *verdict =
             !r.violations.empty() || !row.por.violations.empty()
                 ? "VIOLATION"
@@ -323,7 +311,7 @@ main(int argc, char **argv)
         os << "{\n  \"configs\": {\n";
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const Row &row = rows[i];
-            bool liveRan = !audit_only && row.full.complete &&
+            bool liveRan = row.full.complete &&
                            row.full.violations.empty();
             os << "    \"" << row.cfg.name << "\": {"
                << "\"states_full\": " << row.full.states
@@ -341,8 +329,7 @@ main(int argc, char **argv)
                << ", \"liveness_clean\": "
                << (liveRan && row.live.violations.empty() ? 1 : 0)
                << ", \"refine_clean\": "
-               << (!audit_only && row.refineLeg &&
-                           row.refine.complete &&
+               << (row.refineLeg && row.refine.complete &&
                            row.refine.violations.empty()
                        ? 1
                        : 0)

@@ -163,10 +163,10 @@ Explorer::explore()
             // unrestricted smallest-cluster rule loses terminal
             // settled states on the eviction config).  Deferred
             // Delivers, by contrast, are concrete queued messages
-            // whose footprints are fixed at enqueue time, and the
-            // self-checking sweep audit (--por-audit) re-validates
-            // the verdict and the settled-state digests against a
-            // full run on every exhaustible config.
+            // whose footprints are fixed at enqueue time, and
+            // verify_sweep's audit column re-validates the verdict
+            // and the settled-state digests against a full run on
+            // every config.
             std::vector<std::size_t> deliverIdx;
             std::vector<ActionFootprint> deliverFps;
             for (std::size_t i = 0; i < f.acts.size(); ++i) {

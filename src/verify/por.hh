@@ -24,8 +24,8 @@
  * independent of the path taken since its sibling branch explored
  * it is not re-explored), with stored-sleep intersection on revisits
  * so state caching stays exact. Both are heuristics over a
- * hand-derived relation; `verify_sweep --por-audit` re-runs every
- * exhaustible config unreduced and asserts identical verdicts and
+ * hand-derived relation; every `verify_sweep` run also explores
+ * each config unreduced and asserts identical verdicts and
  * identical settled-state coverage, so the reduction is
  * self-checking rather than trusted (DESIGN.md 5j).
  */
