@@ -121,6 +121,19 @@ struct StateField
     std::size_t numCaches() const { return present.size(); }
 
     /**
+     * Become StateField(num_caches) again, keeping the present
+     * vector's storage (no allocation once it has been sized).
+     */
+    void
+    reset(unsigned num_caches)
+    {
+        state = State::Invalid;
+        modified = false;
+        present.resizeCleared(num_caches);
+        owner = invalidNode;
+    }
+
+    /**
      * Size in bits of the transferred state field:
      * V + O + M + DW + present vector + OWNER.
      */

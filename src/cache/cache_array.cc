@@ -81,7 +81,7 @@ CacheArray::install(Entry &entry, BlockId block)
     panic_if(entry.occupied, "installing over an occupied entry");
     entry.occupied = true;
     entry.block = block;
-    entry.field = StateField(numCaches);
+    entry.field.reset(numCaches);
     entry.data.assign(geom.blockWords, 0);
     touch(entry);
 }
@@ -90,7 +90,7 @@ void
 CacheArray::evict(Entry &entry)
 {
     entry.occupied = false;
-    entry.field = StateField(numCaches);
+    entry.field.reset(numCaches);
     entry.data.assign(geom.blockWords, 0);
     entry.lastUse = 0;
 }

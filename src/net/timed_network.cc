@@ -7,6 +7,22 @@
 namespace mscp::net
 {
 
+namespace
+{
+
+/** One delivery's event: its capture must stay in InlineFunction's
+ *  buffer, or every delivery would allocate. */
+auto
+deliveryEvent(const DeliveryFn &on_delivery, NodeId dst, Tick when)
+{
+    auto ev = [on_delivery, dst, when] { on_delivery(dst, when); };
+    static_assert(InlineFunction::fitsInline<decltype(ev)>,
+                  "the delivery event outgrew InlineFunction's buffer");
+    return ev;
+}
+
+} // anonymous namespace
+
 TimedNetwork::TimedNetwork(OmegaNetwork &network, EventQueue &eq,
                            Bits link_width_bits, Tick hop_latency)
     : net(network), eq(eq), linkWidthBits(link_width_bits),
@@ -91,9 +107,7 @@ TimedNetwork::scheduleDelivery(const DeliveryFn &on_delivery,
                                dst, 0, cls, 0, dup);
             }
             if (on_delivery)
-                eq.schedule([on_delivery, dst, dup] {
-                    on_delivery(dst, dup);
-                }, dup);
+                eq.schedule(deliveryEvent(on_delivery, dst, dup), dup);
         }
     }
     last = std::max(last, when);
@@ -103,9 +117,7 @@ TimedNetwork::scheduleDelivery(const DeliveryFn &on_delivery,
                        0, 0, when);
     }
     if (on_delivery)
-        eq.schedule([on_delivery, dst, when] {
-            on_delivery(dst, when);
-        }, when);
+        eq.schedule(deliveryEvent(on_delivery, dst, when), when);
 }
 
 Tick

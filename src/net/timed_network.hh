@@ -31,7 +31,8 @@ namespace mscp::net
  * Per-delivery callback: (destination, arrival tick). An inline,
  * trivially copyable callable (one copy is scheduled per delivery),
  * so the delivery path performs no heap allocation - enforced at
- * compile time, see InlineCallback.
+ * compile time: InlineCallback rejects oversized captures, and the
+ * delivery event wrapping it asserts InlineFunction::fitsInline.
  */
 using DeliveryFn = InlineCallback<NodeId, Tick>;
 

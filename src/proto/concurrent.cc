@@ -268,8 +268,9 @@ ConcurrentProtocol::scheduleLocal(Msg m, Tick delay)
     NodeId dst = m.dst;
     std::uint32_t slot = allocSlot(std::move(m));
     msgSlab[slot].refs = 1;
-    eq.scheduleIn([this, slot, dst] { deliverSlot(slot, dst); },
-                  delay);
+    auto deliver = [this, slot, dst] { deliverSlot(slot, dst); };
+    static_assert(InlineFunction::fitsInline<decltype(deliver)>);
+    eq.scheduleIn(deliver, delay);
 }
 
 void
@@ -443,14 +444,14 @@ void
 ConcurrentProtocol::monitorWriteComplete(Addr a, std::uint64_t v)
 {
     lastCompleted[a] = v;
+    // An emptied vector stays in the table, so the address's next
+    // write reuses its storage; empty reads the same as absent.
     if (auto *pw = pendingWrites.find(a)) {
         auto vi = std::find(pw->begin(), pw->end(), v);
         if (vi != pw->end()) {
             *vi = pw->back();
             pw->pop_back();
         }
-        if (pw->empty())
-            pendingWrites.erase(a);
     }
 }
 
@@ -493,12 +494,15 @@ ConcurrentProtocol::run(workload::ReferenceStream &stream)
             if (ev.node >= cpus.size())
                 continue;
             NodeId n = ev.node;
-            eq.schedule([this, n, restart = ev.restartTick] {
+            auto crash = [this, n, restart = ev.restartTick] {
                 crashNode(n, restart);
-            }, ev.killTick);
+            };
+            auto rejoin = [this, n] { rejoinNode(n); };
+            static_assert(InlineFunction::fitsInline<decltype(crash)>);
+            static_assert(InlineFunction::fitsInline<decltype(rejoin)>);
+            eq.schedule(crash, ev.killTick);
             if (ev.restartTick > ev.killTick)
-                eq.schedule([this, n] { rejoinNode(n); },
-                            ev.restartTick);
+                eq.schedule(rejoin, ev.restartTick);
         }
     }
 
@@ -507,8 +511,9 @@ ConcurrentProtocol::run(workload::ReferenceStream &stream)
         issueNext(c);
 
     if (params.watchdogPeriod > 0 && refsOutstanding > 0) {
-        watchdogEv = eq.scheduleIn([this] { watchdogTick(); },
-                                   params.watchdogPeriod);
+        auto scan = [this] { watchdogTick(); };
+        static_assert(InlineFunction::fitsInline<decltype(scan)>);
+        watchdogEv = eq.scheduleIn(scan, params.watchdogPeriod);
         watchdogArmed = true;
     }
 

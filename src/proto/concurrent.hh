@@ -488,7 +488,11 @@ class ConcurrentProtocol
         {}
 
         mem::MemoryModule mem;
-        FlatMap<BlockId, std::deque<Msg>> waiting;
+        /** Requests parked behind each busy block, oldest first.
+         *  A drained queue stays in the table with its storage, so
+         *  parking allocates nothing once a block has queued; an
+         *  empty queue reads the same as an absent one. */
+        FlatMap<BlockId, std::vector<Msg>> waiting;
         /** @{ robustness: duplicate suppression + busy matching */
         /** Highest request seq accepted per requester; lower or
          *  equal arrivals are duplicates/superseded retries. */

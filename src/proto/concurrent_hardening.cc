@@ -93,8 +93,9 @@ ConcurrentProtocol::armTimeout(NodeId cpu)
     delay += retryRng.uniform(0, delay / 4);
     mx.sample(mid.retryBackoff, delay);
     std::uint64_t seq = cs.txSeq;
-    cs.timeoutEv = eq.scheduleIn(
-        [this, cpu, seq] { onTimeout(cpu, seq); }, delay);
+    auto timeout = [this, cpu, seq] { onTimeout(cpu, seq); };
+    static_assert(InlineFunction::fitsInline<decltype(timeout)>);
+    cs.timeoutEv = eq.scheduleIn(timeout, delay);
     cs.timeoutArmed = true;
 }
 
@@ -235,8 +236,9 @@ ConcurrentProtocol::watchdogTick()
             dead.push_back(c);
     }
     if (dead.empty()) {
-        watchdogEv = eq.scheduleIn([this] { watchdogTick(); },
-                                   params.watchdogPeriod);
+        auto scan = [this] { watchdogTick(); };
+        static_assert(InlineFunction::fitsInline<decltype(scan)>);
+        watchdogEv = eq.scheduleIn(scan, params.watchdogPeriod);
         watchdogArmed = true;
         return;
     }
@@ -311,7 +313,7 @@ ConcurrentProtocol::buildDeadlockReport(
         }
         const HomeState &h = homes[homeOf(blk)];
         const std::uint64_t *tok = h.busyToken.find(blk);
-        const std::deque<Msg> *q = h.waiting.find(blk);
+        const std::vector<Msg> *q = h.waiting.find(blk);
         out += csprintf(
             "        home%u: busy=%d token=%llu queued=%zu "
             "bsOwner=%u\n",

@@ -124,7 +124,7 @@ ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
         return;
     }
     if (h.busyToken.contains(blk)) {
-        std::deque<Msg> &q = h.waiting[blk];
+        std::vector<Msg> &q = h.waiting[blk];
         for (Msg &w : q) {
             if (w.requester == m.requester) {
                 // A retry superseding its still-queued original (a
@@ -229,15 +229,13 @@ ConcurrentProtocol::drainHomeQueue(HomeState &h, BlockId blk)
 {
     // Re-find after every request: processing can queue onto this
     // block again and rehash the waiting table.
-    std::deque<Msg> *q = h.waiting.find(blk);
+    std::vector<Msg> *q = h.waiting.find(blk);
     while (q && !q->empty() && !h.busyToken.contains(blk)) {
         Msg m = std::move(q->front());
-        q->pop_front();
+        q->erase(q->begin());
         processHomeRequest(h, m);
         q = h.waiting.find(blk);
     }
-    if (q && q->empty())
-        h.waiting.erase(blk);
 }
 
 std::uint64_t

@@ -123,8 +123,9 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
             vSweepPending.push_back(n);
         return;
     }
-    eq.scheduleIn([this, n] { homeSweepDead(n); },
-                  params.crashSuspectDelay);
+    auto sweep = [this, n] { homeSweepDead(n); };
+    static_assert(InlineFunction::fitsInline<decltype(sweep)>);
+    eq.scheduleIn(sweep, params.crashSuspectDelay);
 }
 
 void
@@ -245,7 +246,7 @@ ConcurrentProtocol::finishRecovery(HomeState &h, BlockId blk)
         // the restart against the serve - the serve would arrive
         // stale and be dropped while the block store already names
         // the suspecter as owner.
-        const std::deque<Msg> *q = h.waiting.find(blk);
+        const std::vector<Msg> *q = h.waiting.find(blk);
         if (q && std::any_of(q->begin(), q->end(),
                              [r](const Msg &w) {
                                  return w.requester == r;

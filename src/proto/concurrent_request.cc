@@ -115,8 +115,9 @@ ConcurrentProtocol::completeRef(NodeId cpu)
     }
     if (vControlled)
         return; // the next reference issues as an explorer action
-    eq.scheduleIn([this, cpu] { issueNext(cpu); },
-                  params.thinkTime + 1);
+    auto issue = [this, cpu] { issueNext(cpu); };
+    static_assert(InlineFunction::fitsInline<decltype(issue)>);
+    eq.scheduleIn(issue, params.thinkTime + 1);
 }
 
 void
@@ -263,8 +264,9 @@ ConcurrentProtocol::scheduleCommit(NodeId cpu)
         cs.vCommitPending = true;
         return;
     }
-    eq.scheduleIn([this, cpu] { completeRef(cpu); },
-                  params.hitLatency);
+    auto complete = [this, cpu] { completeRef(cpu); };
+    static_assert(InlineFunction::fitsInline<decltype(complete)>);
+    eq.scheduleIn(complete, params.hitLatency);
 }
 
 void
@@ -274,7 +276,9 @@ ConcurrentProtocol::deferAccess(NodeId cpu, Tick delay)
         cpus[cpu].vDeferred = true; // retried by an explorer action
         return;
     }
-    eq.scheduleIn([this, cpu] { startAccess(cpu); }, delay);
+    auto retry = [this, cpu] { startAccess(cpu); };
+    static_assert(InlineFunction::fitsInline<decltype(retry)>);
+    eq.scheduleIn(retry, delay);
 }
 
 // ---------------------------------------------------------------

@@ -33,6 +33,14 @@ class DynamicBitset
 
     std::size_t size() const { return nbits; }
 
+    /** Become @p n cleared bits, reusing the word storage. */
+    void
+    resizeCleared(std::size_t n)
+    {
+        nbits = n;
+        words.assign((n + 63) / 64, 0);
+    }
+
     bool
     test(std::size_t i) const
     {

@@ -6,16 +6,27 @@
  * monotonically increasing sequence number breaks ties), which keeps
  * simulations reproducible across runs and platforms.
  *
- * Implementation: a 4-ary min-heap ordered by (tick, key, seq). The
- * heap node embeds the callback (an InlineFunction, so small captures
- * never touch the heap allocator). deschedule() is lazy: the event's
- * id is removed from the pending-id set and the heap node becomes a
- * tombstone that is skipped and reclaimed when it reaches the top.
- * A descheduled event never fires, and size() never counts
- * tombstones. When tombstones outnumber live events the heap is
- * compacted in place, so a queue used as a cancel-heavy timer wheel
- * (and the smaller per-shard queues of the PDES engine) stays
- * proportional to its live population.
+ * Implementation: events fire in (tick, key, seq) order from two
+ * stores, and step() takes the earlier of their heads.
+ *  - An event due less than WheelSpan ticks ahead goes into its
+ *    tick's bucket of a hashed timing wheel (Varghese and Lauck,
+ *    SOSP 1987): WheelSpan buckets indexed by the tick's low bits,
+ *    each an intrusive ring kept in (key, seq) order, plus an
+ *    occupancy bitmap that finds the next non-empty bucket. Every
+ *    bucket event lies in [curTick, curTick + WheelSpan), so each
+ *    bucket holds one tick and the scan from curTick's bucket meets
+ *    them in tick order.
+ *  - A later event (long timeouts, the watchdog, crash plans) goes
+ *    into a 4-ary min-heap of 32-byte {tick, key, seq, slot} entries.
+ * Callbacks (InlineFunctions, so small captures never touch the heap
+ * allocator) live in a slab that neither store moves; an EventId
+ * packs the event's slot and sequence number. deschedule() is O(1):
+ * a bucket event is unlinked at once, a heap event frees its slot
+ * and leaves its heap entry as a tombstone that is skipped when it
+ * reaches the top. A descheduled event never fires, and size()
+ * never counts tombstones. When tombstones outnumber live heap
+ * entries the heap is compacted in place, so a cancel-heavy timer
+ * pattern stays proportional to its live population.
  *
  * Same-tick ordering: schedule() uses the event's own sequence
  * number as its key, so events at one tick fire in schedule order.
@@ -28,10 +39,12 @@
 #ifndef MSCP_SIM_EVENTQ_HH
 #define MSCP_SIM_EVENTQ_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
-#include "sim/flat.hh"
 #include "sim/inline_function.hh"
 #include "sim/types.hh"
 
@@ -58,6 +71,13 @@ using EventId = std::uint64_t;
 class EventQueue
 {
   public:
+    /**
+     * Ticks ahead covered by the timing wheel's per-tick buckets;
+     * later events wait in the heap. A power of two, so a tick's
+     * bucket is its low bits.
+     */
+    static constexpr Tick WheelSpan = 1024;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -69,7 +89,7 @@ class EventQueue
      * Number of live events waiting in the queue. Descheduled
      * events still occupying tombstone heap slots are not counted.
      */
-    std::size_t size() const { return heap.size() - tombstones; }
+    std::size_t size() const { return live; }
 
     /** @return true iff no live events are pending. */
     bool empty() const { return size() == 0; }
@@ -106,9 +126,10 @@ class EventQueue
     /**
      * Remove a previously scheduled event.
      *
-     * The heap slot is tombstoned and reclaimed lazily, but the
-     * event is dead from this call on: it will never fire and no
-     * longer counts toward size().
+     * A bucket event is unlinked at once; a heap event leaves a
+     * tombstone reclaimed lazily. Either way the event is dead from
+     * this call on: it will never fire and no longer counts toward
+     * size().
      *
      * @return true if the event was pending and is now removed,
      *         false if it already fired, was already descheduled,
@@ -158,19 +179,51 @@ class EventQueue
     /**
      * Heap slots currently occupied by descheduled events
      * (diagnostic; exercised by the compaction property test).
+     * Cancelled bucket events leave none.
      */
     std::size_t tombstoneSlots() const { return tombstones; }
 
   private:
-    struct Node
+    static constexpr std::uint32_t NoSlot = ~std::uint32_t{0};
+    /** Slot::next of an event held by the heap. */
+    static constexpr std::uint32_t InHeap = NoSlot - 1;
+    /** An EventId is (seq << SlotBits) | slot. */
+    static constexpr unsigned SlotBits = 24;
+    static constexpr std::uint64_t SlotMask =
+        (std::uint64_t{1} << SlotBits) - 1;
+    static constexpr std::uint64_t MaxSeq =
+        (std::uint64_t{1} << (64 - SlotBits)) - 1;
+    /** Slot::seq of a free slot. */
+    static constexpr std::uint64_t NoSeq = ~std::uint64_t{0};
+    static constexpr std::size_t WheelWords = WheelSpan / 64;
+    static_assert((WheelSpan & (WheelSpan - 1)) == 0 &&
+                      WheelWords > 0,
+                  "WheelSpan must be a power of two >= 64");
+
+    /** One event's callback and order; reused once it fires. */
+    struct Slot
+    {
+        InlineFunction cb;
+        Tick when = 0;
+        std::uint64_t key = 0;
+        /** The held event's sequence number, NoSeq while free. */
+        std::uint64_t seq = NoSeq;
+        /** Bucket ring links; next is InHeap for a heap event and
+         *  the free-list link while the slot is free. */
+        std::uint32_t next = NoSlot;
+        std::uint32_t prev = NoSlot;
+    };
+
+    /** Heap entry: the firing order and the slot it names. */
+    struct HeapEntry
     {
         Tick when;
         std::uint64_t key;
         std::uint64_t seq;
-        InlineFunction cb;
+        std::uint32_t slot;
 
         bool
-        before(const Node &o) const
+        before(const HeapEntry &o) const
         {
             if (when != o.when)
                 return when < o.when;
@@ -179,26 +232,61 @@ class EventQueue
             return seq < o.seq;
         }
     };
+    // Sifts copy entries, never callbacks.
+    static_assert(sizeof(HeapEntry) == 32);
+    static_assert(std::is_trivially_copyable_v<HeapEntry>);
+
+    /** The earliest live event, as located by peek(). */
+    struct Next
+    {
+        std::uint32_t slot;
+        bool inHeap;
+    };
+
+    std::uint32_t allocSlot();
+    void freeSlot(std::uint32_t s);
+
+    /** Link slot @p s into its tick's bucket, in (key, seq) order. */
+    void bucketInsert(std::uint32_t s);
+    void bucketUnlink(std::uint32_t s);
+    /** Bucket of the earliest bucket event; false if none. */
+    bool firstBucket(std::size_t &b) const;
 
     void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-    void push(Node n);
-    /** Remove the top node; heap must be non-empty. */
-    Node popTop();
-    /** Drop tombstoned nodes off the top of the heap. */
+    /** Place @p e at the hole @p i, moving it down. */
+    void siftDown(std::size_t i, HeapEntry e);
+    void heapPush(const HeapEntry &e);
+    /** Remove the top entry; heap must be non-empty. */
+    void heapPop();
+    /** Whether @p e's event was descheduled (its slot moved on). */
+    bool stale(const HeapEntry &e) const { return slab[e.slot].seq != e.seq; }
+    /** Drop tombstoned entries off the top of the heap. */
     void pruneTop();
-    /** Rebuild the heap without its tombstoned slots. */
+    /** Rebuild the heap without its tombstoned entries. */
     void compact();
+
+    /** Locate the earliest live event; false if none. */
+    bool peek(Next &n);
+    /** Remove @p n from the queue and run it. */
+    void fire(const Next &n);
 
     Tracer *tracer = nullptr;
     MetricsSampler *msampler = nullptr;
     Tick _curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t _executed = 0;
+    /** Live events, both stores. */
+    std::size_t live = 0;
+    /** Heap entries whose event was descheduled. */
     std::size_t tombstones = 0;
-    std::vector<Node> heap;
-    /** Ids of scheduled-and-not-yet-fired, not-descheduled events. */
-    FlatSet<EventId> pending;
+    std::vector<Slot> slab;
+    std::uint32_t freeHead = NoSlot;
+    /** Far-future events. */
+    std::vector<HeapEntry> heap;
+    /** Head slot of each bucket's ring (meaningful only where the
+     *  occupancy bit is set); allocated at the first bucket event. */
+    std::unique_ptr<std::uint32_t[]> bucketHead;
+    std::array<std::uint64_t, WheelWords> occupied{};
 };
 
 } // namespace mscp

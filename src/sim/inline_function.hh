@@ -6,8 +6,8 @@
  * which made every scheduled event an allocation. InlineFunction
  * stores captures up to InlineSize bytes inside the object itself
  * (enough for the simulator's {this, id, tick} lambdas and for a
- * wrapped std::function delivery callback) and only falls back to
- * the heap for oversized captures.
+ * network delivery event: an InlineCallback plus its destination and
+ * tick) and only falls back to the heap for oversized captures.
  */
 
 #ifndef MSCP_SIM_INLINE_FUNCTION_HH
@@ -28,6 +28,18 @@ class InlineFunction
     /** Inline capture capacity in bytes. */
     static constexpr std::size_t InlineSize = 56;
 
+    /**
+     * Whether a functor of type @p F is stored inline. A call site
+     * that must not allocate static_asserts this on its functor, so
+     * a capture that outgrows the buffer fails to compile instead of
+     * silently taking the heap fallback.
+     */
+    template <typename F>
+    static constexpr bool fitsInline =
+        sizeof(F) <= InlineSize &&
+        alignof(F) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<F>;
+
     InlineFunction() = default;
 
     template <typename F,
@@ -36,8 +48,7 @@ class InlineFunction
     InlineFunction(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= InlineSize &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+        if constexpr (fitsInline<Fn>) {
             ::new (storage()) Fn(std::forward<F>(f));
             ops = &inlineOps<Fn>;
         } else {
@@ -163,6 +174,12 @@ class InlineCallback
   public:
     /** Inline capture capacity in bytes. */
     static constexpr std::size_t InlineSize = 24;
+    /**
+     * Alignment of the inline buffer: a pointer's, so the callback
+     * packs into 32 bytes and a delivery event (the callback, its
+     * destination and its tick) fits InlineFunction's buffer.
+     */
+    static constexpr std::size_t Align = alignof(void *);
 
     InlineCallback() = default;
 
@@ -178,6 +195,8 @@ class InlineCallback
         using Fn = std::decay_t<F>;
         static_assert(sizeof(Fn) <= InlineSize,
                       "capture too large for InlineCallback");
+        static_assert(alignof(Fn) <= Align,
+                      "capture over-aligned for InlineCallback");
         static_assert(std::is_trivially_copyable_v<Fn>,
                       "InlineCallback requires trivially copyable "
                       "functors");
@@ -202,8 +221,12 @@ class InlineCallback
     void (*invoke)(void *, Args...) = nullptr;
     /** Mutable so stateful (mutable-lambda) functors stay callable
      *  through the const interface the send paths use. */
-    alignas(std::max_align_t) mutable unsigned char buf[InlineSize];
+    alignas(Align) mutable unsigned char buf[InlineSize];
 };
+
+// The invoker plus a pointer-aligned buffer, with no padding.
+static_assert(sizeof(InlineCallback<>) == 32 &&
+              alignof(InlineCallback<>) == alignof(void *));
 
 } // namespace mscp
 

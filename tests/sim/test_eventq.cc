@@ -2,12 +2,48 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+#include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/eventq.hh"
 #include "sim/logging.hh"
 
 using namespace mscp;
+
+// Every allocation in this binary goes through this counter, so a
+// test can assert that a stretch of queue work allocated nothing.
+// The replacements stay out of line: inlined into a container's
+// destructor, their free() would meet a pointer GCC knows came from
+// operator new, and -Wmismatched-new-delete would fire.
+namespace
+{
+std::size_t allocations = 0;
+} // anonymous namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t sz)
+{
+    ++allocations;
+    if (void *p = std::malloc(sz ? sz : 1))
+        return p;
+    throw std::bad_alloc{};
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 TEST(EventQueue, StartsEmptyAtTickZero)
 {
@@ -271,58 +307,276 @@ TEST(EventQueue, CompactionBoundsTombstones)
     // Property test for tombstone compaction: under a deterministic
     // pseudo-random schedule/deschedule mix, dead slots never exceed
     // half the heap, live events are never lost, and the surviving
-    // events still fire in order.
-    EventQueue eq;
-    std::vector<EventId> live;
-    std::vector<Tick> fired;
-    std::size_t scheduled = 0, descheduled = 0;
-    std::uint64_t x = 0x243f6a8885a308d3ull;
-    auto rnd = [&x] {
-        x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-        return x;
-    };
-    for (int i = 0; i < 4000; ++i) {
-        if (live.empty() || rnd() % 3 != 0) {
-            Tick t = 1 + rnd() % 1000;
-            live.push_back(eq.schedule(
-                [&fired, &eq] { fired.push_back(eq.curTick()); }, t));
-            ++scheduled;
-        } else {
-            std::size_t pick = rnd() % live.size();
-            EXPECT_TRUE(eq.deschedule(live[pick]));
-            live[pick] = live.back();
-            live.pop_back();
-            ++descheduled;
+    // events still fire in order. Ticks from 1 land in the wheel's
+    // buckets; ticks from WheelSpan land in the heap, whose
+    // cancelled entries are the tombstones compaction bounds.
+    for (Tick base : {Tick{1}, EventQueue::WheelSpan}) {
+        SCOPED_TRACE(base);
+        EventQueue eq;
+        std::vector<EventId> live;
+        std::vector<Tick> fired;
+        std::size_t scheduled = 0, descheduled = 0, peak = 0;
+        std::uint64_t x = 0x243f6a8885a308d3ull;
+        auto rnd = [&x] {
+            x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+            return x;
+        };
+        for (int i = 0; i < 4000; ++i) {
+            if (live.empty() || rnd() % 3 != 0) {
+                Tick t = base + rnd() % 1000;
+                live.push_back(eq.schedule(
+                    [&fired, &eq] { fired.push_back(eq.curTick()); },
+                    t));
+                ++scheduled;
+            } else {
+                std::size_t pick = rnd() % live.size();
+                EXPECT_TRUE(eq.deschedule(live[pick]));
+                live[pick] = live.back();
+                live.pop_back();
+                ++descheduled;
+            }
+            // The compaction invariant: deschedule() rebuilds once
+            // tombstones outnumber live events, so at rest dead
+            // slots can never exceed the live population (plus one
+            // for the pre-compaction peak at tiny sizes).
+            EXPECT_LE(eq.tombstoneSlots(), eq.size() + 1);
+            EXPECT_EQ(eq.size(), live.size());
+            peak = std::max(peak, eq.tombstoneSlots());
         }
-        // The compaction invariant: deschedule() rebuilds once
-        // tombstones outnumber live events, so at rest dead slots
-        // can never exceed the live population (plus one for the
-        // pre-compaction peak at tiny sizes).
-        EXPECT_LE(eq.tombstoneSlots(), eq.size() + 1);
-        EXPECT_EQ(eq.size(), live.size());
+        ASSERT_GT(descheduled, 100u);
+        if (base >= EventQueue::WheelSpan)
+            EXPECT_GT(peak, 0u);
+        else
+            EXPECT_EQ(peak, 0u); // bucket events unlink at once
+        EXPECT_EQ(eq.run(), scheduled - descheduled);
+        EXPECT_EQ(fired.size(), scheduled - descheduled);
+        for (std::size_t i = 1; i < fired.size(); ++i)
+            EXPECT_LE(fired[i - 1], fired[i]);
+        EXPECT_EQ(eq.tombstoneSlots(), 0u);
     }
-    ASSERT_GT(descheduled, 100u);
-    EXPECT_EQ(eq.run(), scheduled - descheduled);
-    EXPECT_EQ(fired.size(), scheduled - descheduled);
-    for (std::size_t i = 1; i < fired.size(); ++i)
-        EXPECT_LE(fired[i - 1], fired[i]);
-    EXPECT_EQ(eq.tombstoneSlots(), 0u);
 }
 
 TEST(EventQueue, DescheduleHeavyQueueStaysCompact)
 {
-    // Timer-wheel pattern: every scheduled event is cancelled.
-    // Without compaction the heap would grow without bound; with it
-    // the heap tracks the live population.
-    EventQueue eq;
-    for (int round = 0; round < 100; ++round) {
-        std::vector<EventId> ids;
-        for (Tick t = 1; t <= 50; ++t)
-            ids.push_back(eq.schedule([] { FAIL(); }, t + round));
-        for (EventId id : ids)
-            EXPECT_TRUE(eq.deschedule(id));
-        EXPECT_LE(eq.tombstoneSlots(), 51u);
+    // Cancel-everything pattern: every scheduled event is
+    // cancelled. Without compaction the heap would grow without
+    // bound; with it the heap tracks the live population. Offsets
+    // of 0 exercise the buckets, WheelSpan the heap.
+    for (Tick base : {Tick{0}, EventQueue::WheelSpan}) {
+        SCOPED_TRACE(base);
+        EventQueue eq;
+        for (int round = 0; round < 100; ++round) {
+            std::vector<EventId> ids;
+            for (Tick t = 1; t <= 50; ++t)
+                ids.push_back(eq.schedule([] { FAIL(); },
+                                          base + t + round));
+            for (EventId id : ids)
+                EXPECT_TRUE(eq.deschedule(id));
+            EXPECT_LE(eq.tombstoneSlots(), 51u);
+        }
+        EXPECT_TRUE(eq.empty());
+        EXPECT_EQ(eq.run(), 0u);
     }
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.run(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Differential model of the queue: the pending set kept sorted by
+ * (tick, key, seq), plus every handle issued since the last reset
+ * and whether it is still pending.
+ */
+class ReferenceQueue
+{
+  public:
+    ReferenceQueue(EventQueue &eq, std::uint64_t seed)
+        : eq(eq), rng(seed)
+    {}
+
+    /** Schedule one random event: near or beyond the wheel's span,
+     *  on the current tick or later, keyed or not. */
+    void
+    scheduleOne()
+    {
+        Tick delay;
+        switch (rng() % 8) {
+          case 0:
+            delay = 0;
+            break;
+          case 1:
+            delay = EventQueue::WheelSpan - 1 + rng() % 2;
+            break;
+          case 2:
+          case 3:
+            delay = EventQueue::WheelSpan + rng() % 3000;
+            break;
+          default:
+            delay = rng() % 64;
+            break;
+        }
+        const bool keyed = rng() % 3 == 0;
+        const Ev ev{eq.curTick() + delay, keyed ? rng() % 4 : seq,
+                    seq, handles.size()};
+        ++seq;
+        auto cb = [this, label = ev.label] { fired(label); };
+        EventId id = keyed ? eq.scheduleKeyed(cb, ev.when, ev.key)
+                           : eq.schedule(cb, ev.when);
+        pending.insert(ev);
+        handles.push_back({id, ev, true});
+    }
+
+    /** Deschedule a random handle: pending, fired or cancelled. */
+    void
+    descheduleOne()
+    {
+        if (handles.empty())
+            return;
+        Handle &h = handles[rng() % handles.size()];
+        EXPECT_EQ(eq.deschedule(h.id), h.live);
+        if (h.live) {
+            pending.erase(h.ev);
+            h.live = false;
+        }
+    }
+
+    /** A random action, as the driver or from inside a callback. */
+    void
+    act(bool in_callback)
+    {
+        const unsigned r = rng() % 16;
+        if (r < 9 && budget > 0) {
+            --budget;
+            scheduleOne();
+        } else if (r < 12) {
+            descheduleOne();
+        } else if (r == 12 && in_callback && resets < 3) {
+            // reset() from inside a callback drops everything,
+            // including the running event's neighbours; handles
+            // issued before it are no longer meaningful.
+            ++resets;
+            eq.reset();
+            pending.clear();
+            handles.clear();
+            seq = 0;
+        }
+        check();
+    }
+
+    void
+    check()
+    {
+        EXPECT_EQ(eq.size(), pending.size());
+        EXPECT_LE(eq.tombstoneSlots(), eq.size() + 1);
+        EXPECT_EQ(eq.nextTick(),
+                  pending.empty() ? maxTick : pending.begin()->when);
+    }
+
+    std::size_t budget = 0;
+    std::size_t firings = 0;
+    unsigned resets = 0;
+
+  private:
+    struct Ev
+    {
+        Tick when;
+        std::uint64_t key;
+        std::uint64_t seq;
+        std::size_t label;
+
+        bool
+        operator<(const Ev &o) const
+        {
+            return std::tie(when, key, seq) <
+                std::tie(o.when, o.key, o.seq);
+        }
+    };
+    struct Handle
+    {
+        EventId id;
+        Ev ev;
+        bool live;
+    };
+
+    void
+    fired(std::size_t label)
+    {
+        ++firings;
+        ASSERT_FALSE(pending.empty());
+        const Ev expect = *pending.begin();
+        ASSERT_EQ(label, expect.label);
+        EXPECT_EQ(eq.curTick(), expect.when);
+        pending.erase(pending.begin());
+        handles[label].live = false;
+        for (unsigned i = rng() % 3; i-- > 0;)
+            act(true);
+    }
+
+    EventQueue &eq;
+    std::mt19937_64 rng;
+    std::set<Ev> pending;
+    std::vector<Handle> handles;
+    /** The queue's sequence number of the next schedule. */
+    std::uint64_t seq = 0;
+};
+
+} // anonymous namespace
+
+TEST(EventQueue, MatchesSortedReferenceUnderRandomMix)
+{
+    // Differential property test: events inside and beyond the
+    // wheel's span, same-tick bursts, keyed and unkeyed events,
+    // schedules and deschedules from inside callbacks, deschedules
+    // of pending, fired and cancelled ids, and reset() inside a
+    // callback. Every firing must be the reference's earliest
+    // (tick, key, seq) pending event.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        EventQueue eq;
+        ReferenceQueue ref(eq, seed);
+        ref.budget = 6000;
+        for (int i = 0; i < 300; ++i)
+            ref.scheduleOne();
+        while (!eq.empty() || ref.budget > 0) {
+            ref.act(false);
+            eq.step();
+            ref.check();
+        }
+        EXPECT_GT(ref.firings, 3000u);
+        EXPECT_FALSE(eq.step());
+    }
+}
+
+TEST(EventQueue, DeliveryShapedEventsAllocateNothing)
+{
+    // The network's delivery event: an InlineCallback<NodeId, Tick>
+    // plus its destination and arrival tick. Once the queue has
+    // grown to its working size, scheduling and firing it must not
+    // allocate, whether it lands in a bucket or in the heap.
+    EventQueue eq;
+    std::uint64_t arrivals = 0;
+    InlineCallback<NodeId, Tick> onDelivery =
+        [&arrivals](NodeId, Tick) { ++arrivals; };
+    auto deliver = [&](int i) {
+        const NodeId dst = static_cast<NodeId>(i % 64);
+        const Tick when = eq.curTick() + 1 + i % 7 +
+            (i % 5 == 0 ? EventQueue::WheelSpan : 0);
+        eq.schedule([onDelivery, dst, when] {
+            onDelivery(dst, when);
+        }, when);
+    };
+    constexpr int N = 20000;
+    for (int i = 0; i < 64; ++i)
+        deliver(i);
+    for (int i = 0; i < N; ++i) {
+        deliver(i);
+        eq.step();
+    }
+    const std::size_t before = allocations;
+    for (int i = 0; i < N; ++i) {
+        deliver(i);
+        eq.step();
+    }
+    EXPECT_EQ(allocations - before, 0u);
+    EXPECT_EQ(arrivals, 2u * N);
 }

@@ -25,10 +25,16 @@ hot paths rely on but the compiler only partially enforces:
     fields explicitly and must be updated in lockstep with any new
     member -- flag the drift here, not in a debugger.
 
- 5. LatencySink stays an InlineCallback alias and InlineFunction's
-    trivially-copyable / trivially-destructible static_asserts
-    remain: latency sampling runs inside the event loop and must
-    never allocate.
+ 5. The event loop's inline storage stays allocation-free:
+    LatencySink stays an InlineCallback alias; InlineCallback keeps
+    its trivially-copyable / trivially-destructible static_asserts,
+    its pointer-aligned buffer with the alignof static_assert, and
+    the sizeof(InlineCallback<>) == 32 pin; the event queue's heap
+    entry keeps its 32-byte and trivially-copyable static_asserts
+    (sifts move entries, never callbacks); and timed_network.cc
+    keeps its InlineFunction::fitsInline static_assert on the
+    delivery event (a delivery that outgrew the buffer would
+    allocate once per message).
 
  6. MailboxSlot stays a fixed-width trivially-copyable POD sized to
     exactly one 64-byte cache line: PDES cross-shard sends memcpy
@@ -53,8 +59,8 @@ hot paths rely on but the compiler only partially enforces:
 
 Run from the repo root:  python3 tools/lint_pods.py
 Exit status 0 iff every check passes; findings go to stderr.
-'--selftest' additionally feeds checks 7 and 8 deliberately
-corrupted structs and fails unless the lint flags them (guards the
+'--selftest' additionally feeds checks 5, 7 and 8 deliberately
+corrupted sources and fails unless the lint flags them (guards the
 guard).
 """
 
@@ -92,12 +98,13 @@ def extract_struct(text, name):
 
 
 def member_lines(body):
-    """Yield (offset, type, rest) for each 'Type name...;' line."""
+    """Yield (offset, type, rest) for each 'Type name...;' line,
+    with or without a '= init' or '{init}' initializer."""
     for off, raw in enumerate(body.splitlines()):
         line = raw.split("//")[0].split("///")[0].strip()
         m = re.match(
             r"([A-Za-z_][\w:<>,\s]*?)\s+([A-Za-z_]\w*)\s*"
-            r"(\[\d+\])?\s*(=[^;]*)?;",
+            r"(\[\d+\])?\s*(=[^;]*|\{[^;]*\})?;",
             line)
         if m:
             yield off, m.group(1).strip(), m.group(2)
@@ -178,19 +185,50 @@ def check_msg():
              f"{[d[2] for d in dynamic]}")
 
 
-def check_latency_sink():
+def check_inline_storage(texts=None):
+    def read(path):
+        if texts and path.name in texts:
+            return texts[path.name]
+        return path.read_text()
+
     path = SRC / "proto" / "concurrent.hh"
     if not re.search(r"using\s+LatencySink\s*=\s*InlineCallback<",
-                     path.read_text()):
+                     read(path)):
         fail(path, 1, "LatencySink is no longer an InlineCallback "
                       "alias (zero-allocation sampling contract)")
     inl = SRC / "sim" / "inline_function.hh"
-    text = inl.read_text()
+    text = read(inl)
     for trait in ("is_trivially_copyable_v",
                   "is_trivially_destructible_v"):
         if trait not in text:
-            fail(inl, 1, f"InlineFunction lost its {trait} "
+            fail(inl, 1, f"InlineCallback lost its {trait} "
                          f"static_assert")
+    if not (re.search(r"alignas\(Align\)", text) and
+            re.search(r"static_assert\(alignof\(Fn\)\s*<=\s*Align",
+                      text)):
+        fail(inl, 1, "InlineCallback lost its pointer-aligned buffer "
+                     "or the alignof(Fn) <= Align static_assert")
+    if not re.search(r"static_assert\(sizeof\(InlineCallback<>\)"
+                     r"\s*==\s*32", text):
+        fail(inl, 1, "missing sizeof(InlineCallback<>) == 32 "
+                     "static_assert")
+
+    evq = SRC / "sim" / "eventq.hh"
+    text = read(evq)
+    if not re.search(r"static_assert\(sizeof\(HeapEntry\)\s*==\s*32",
+                     text):
+        fail(evq, 1, "missing sizeof(HeapEntry) == 32 static_assert")
+    if not re.search(r"static_assert\(\s*std::"
+                     r"is_trivially_copyable_v<HeapEntry>", text):
+        fail(evq, 1, "missing is_trivially_copyable_v<HeapEntry> "
+                     "static_assert")
+
+    tn = SRC / "net" / "timed_network.cc"
+    if not re.search(r"static_assert\(\s*InlineFunction::fitsInline<",
+                     read(tn)):
+        fail(tn, 1, "the delivery event lost its InlineFunction::"
+                    "fitsInline static_assert (each delivery could "
+                    "allocate)")
 
 
 def check_mailbox_slot():
@@ -280,6 +318,31 @@ def check_verify_pods(texts=None):
                              f"<{name}> static_assert")
 
 
+# Deliberately broken event-loop storage for --selftest: a heap
+# entry grown to 40 bytes (its size pin edited to match) and a
+# delivery event scheduled without the fitsInline assert. Check 5
+# must flag both or the lint has gone blind.
+SELFTEST_BAD_INLINE = {
+    "eventq.hh": """
+struct HeapEntry
+{
+    Tick when;
+    std::uint64_t key;
+    std::uint64_t seq;
+    std::uint64_t slot;
+    std::uint64_t spare;
+};
+static_assert(sizeof(HeapEntry) == 40);
+static_assert(std::is_trivially_copyable_v<HeapEntry>);
+""",
+    "timed_network.cc": """
+    eq.schedule([on_delivery, dst, when] {
+        on_delivery(dst, when);
+    }, when);
+""",
+}
+
+
 # Deliberately broken metrics PODs for --selftest: a non-fixed-width
 # member, a dynamic member and no static_asserts. Check 7 must flag
 # every struct here or the lint has gone blind.
@@ -320,19 +383,22 @@ struct LivenessFrame
 
 
 def selftest():
+    check_inline_storage()
     check_metric_pods()
     check_verify_pods()
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         print("lint_pods --selftest: repo sources must pass "
-              "checks 7 and 8 first", file=sys.stderr)
+              "checks 5, 7 and 8 first", file=sys.stderr)
         return 1
+    check_inline_storage(texts=SELFTEST_BAD_INLINE)
     check_metric_pods(text=SELFTEST_BAD)
     check_verify_pods(texts=SELFTEST_BAD_VERIFY)
     flagged = list(errors)
     errors.clear()
-    wanted = ["'slot'", "'label'", "sizeof(MetricId)",
+    wanted = ["sizeof(HeapEntry)", "fitsInline",
+              "'slot'", "'label'", "sizeof(MetricId)",
               "sizeof(MetricWindowHeader)",
               "is_trivially_copyable_v<MetricId>",
               "'comps'", "'edges'", "sizeof(ActionFootprint)",
@@ -348,7 +414,7 @@ def selftest():
               f"flagged, missing findings about {missing}",
               file=sys.stderr)
         return 1
-    print(f"lint_pods --selftest: checks 7 and 8 flagged all "
+    print(f"lint_pods --selftest: checks 5, 7 and 8 flagged all "
           f"{len(flagged)} planted defects")
     return 0
 
@@ -359,7 +425,7 @@ def main():
     check_trace_record()
     check_record_call_sites()
     check_msg()
-    check_latency_sink()
+    check_inline_storage()
     check_mailbox_slot()
     check_metric_pods()
     check_verify_pods()
