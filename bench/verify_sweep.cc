@@ -316,8 +316,15 @@ main(int argc, char **argv)
             os << "    \"" << row.cfg.name << "\": {"
                << "\"states_full\": " << row.full.states
                << ", \"states_por\": " << row.por.states
+               << ", \"edges_full\": " << row.full.edges
+               << ", \"edges_por\": " << row.por.edges
                << ", \"settled_unique\": "
                << row.full.settledUnique
+               << ", \"settled_digest\": \""
+               << csprintf("%016llx",
+                           static_cast<unsigned long long>(
+                               row.full.settledDigest))
+               << "\""
                << ", \"complete\": "
                << (row.full.complete ? 1 : 0)
                << ", \"audit_ok\": " << (row.auditOk ? 1 : 0)

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Gate the model-checker sweep's coverage against a checked-in baseline.
 
-``bench/verify_sweep`` writes a per-config coverage record (state
-counts, exhaustion, audit/liveness/refinement verdicts) to the path in
+``bench/verify_sweep`` writes a per-config coverage record (state and
+edge counts, the settled-state digest, exhaustion,
+audit/liveness/refinement verdicts) to the path in
 ``$MSCP_VERIFY_COVERAGE_OUT``.  This script diffs that record against
 ``tests/verify/sweep_baseline.json`` and fails on any regression:
 
@@ -10,10 +11,15 @@ counts, exhaustion, audit/liveness/refinement verdicts) to the path in
 * a config that was exhausted (``complete``) and no longer is,
 * a clean verdict (``audit_ok`` / ``liveness_clean`` / ``refine_clean``
   / ``violations``) that went bad,
-* any drift in the state counts (``states_full`` / ``states_por`` /
-  ``settled_unique``) -- exploration is deterministic, so a count change
-  means the protocol engine or the checker changed and the baseline
-  must be re-recorded on purpose.
+* any drift in what each exploration covered: the state counts
+  (``states_full`` / ``states_por`` / ``settled_unique``), the edge
+  counts (``edges_full`` / ``edges_por``) and the full run's digest over
+  its distinct settled states (``settled_digest``, a hex string).
+  Exploration is deterministic, so a change means the protocol engine
+  or the checker changed and the baseline must be re-recorded on
+  purpose. Edges and the digest pin more than the state counts do: a
+  checker change that loses a field of the engine state can keep every
+  count and still reach different states.
 
 Intentional changes are recorded with ``--update``, which rewrites the
 baseline from the current run; commit the result.  New configs absent
@@ -35,10 +41,11 @@ DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "tests", "verify", "sweep_baseline.json")
 
-# Fields where only one direction is a regression (1 -> 0).  Counts are
-# compared exactly; see the module docstring.
+# Fields where only one direction is a regression (1 -> 0).  Coverage
+# fields are compared exactly; see the module docstring.
 BOOL_FIELDS = ("complete", "audit_ok", "liveness_clean", "refine_clean")
-COUNT_FIELDS = ("states_full", "states_por", "settled_unique")
+EXACT_FIELDS = ("states_full", "states_por", "edges_full", "edges_por",
+                "settled_unique", "settled_digest")
 
 
 def load(path):
@@ -63,7 +70,7 @@ def compare(base, cur):
         for f in BOOL_FIELDS:
             if b.get(f, 0) and not c.get(f, 0):
                 problems.append(f"{name}: {f} regressed 1 -> 0")
-        for f in COUNT_FIELDS:
+        for f in EXACT_FIELDS:
             if b.get(f) != c.get(f):
                 problems.append(
                     f"{name}: {f} drifted {b.get(f)} -> {c.get(f)} "
