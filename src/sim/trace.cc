@@ -63,13 +63,14 @@ Tracer::Tracer(std::size_t capacity)
     std::size_t cap = 16;
     while (cap < capacity)
         cap <<= 1;
-    ring.resize(cap);
     mask = cap - 1;
 }
 
 void
 Tracer::setEnabled(bool on)
 {
+    if (on && ring.empty())
+        ring.resize(capacity());
     _enabled = on;
 }
 

@@ -126,7 +126,9 @@ class Tracer
 {
   public:
     /** @param capacity ring size in records; rounded up to a power
-     *  of two (minimum 16). */
+     *  of two (minimum 16). The ring is allocated by the first
+     *  setEnabled(true), so a tracer never enabled allocates
+     *  nothing. */
     explicit Tracer(std::size_t capacity = 4096);
 
     /** Runtime enable; recording is a no-op while disabled. */
@@ -160,7 +162,7 @@ class Tracer
 #ifndef MSCP_TRACE_DISABLED
         if (!_enabled)
             return;
-        if (head >= ring.size() && !warnedOverflow)
+        if (head >= capacity() && !warnedOverflow)
             warnOverflow();
         TraceRecord &r = ring[head & mask];
         r.tick = tick;
@@ -185,18 +187,18 @@ class Tracer
     std::uint64_t
     dropped() const
     {
-        return head > ring.size() ? head - ring.size() : 0;
+        return head > capacity() ? head - capacity() : 0;
     }
 
     /** Records currently held in the ring. */
     std::size_t
     size() const
     {
-        return head < ring.size() ? static_cast<std::size_t>(head)
-                                  : ring.size();
+        return head < capacity() ? static_cast<std::size_t>(head)
+                                 : capacity();
     }
 
-    std::size_t capacity() const { return ring.size(); }
+    std::size_t capacity() const { return mask + 1; }
 
     /** Drop all records (capacity and enable state unchanged). */
     void clear();
@@ -209,8 +211,7 @@ class Tracer
     void
     forEach(Fn &&fn) const
     {
-        const std::uint64_t cap = ring.size();
-        const std::uint64_t first = head > cap ? head - cap : 0;
+        const std::uint64_t first = dropped();
         for (std::uint64_t i = first; i < head; ++i)
             fn(ring[static_cast<std::size_t>(i & mask)]);
     }
@@ -222,6 +223,7 @@ class Tracer
     void warnOverflow();
 
     std::vector<TraceRecord> ring;
+    /** capacity() - 1; fixed at construction. */
     std::uint64_t mask = 0;
     std::uint64_t head = 0;
     bool _enabled = false;

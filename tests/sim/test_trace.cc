@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests for the binary ring-buffer event tracer: capacity
- * rounding, wraparound and overflow accounting, enable gating, and
- * the Chrome trace_event exporter (golden output, JSON validity and
- * the matched begin/end pair guarantee).
+ * rounding, wraparound and overflow accounting, enable gating, the
+ * allocation-free disabled tracer, and the Chrome trace_event
+ * exporter (golden output, JSON validity and the matched begin/end
+ * pair guarantee).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,37 @@
 using namespace mscp;
 using mscp::test::JsonChecker;
 using mscp::test::countOccurrences;
+
+// Every allocation in this binary goes through this counter, so a
+// test can assert that a stretch of tracer work allocated nothing.
+// The replacements stay out of line: inlined into a container's
+// destructor, their free() would meet a pointer GCC knows came from
+// operator new, and -Wmismatched-new-delete would fire.
+namespace
+{
+std::size_t allocations = 0;
+} // anonymous namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t sz)
+{
+    ++allocations;
+    if (void *p = std::malloc(sz ? sz : 1))
+        return p;
+    throw std::bad_alloc{};
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -58,6 +92,48 @@ TEST(Trace, RecordingIsNoOpWhileDisabled)
     EXPECT_EQ(t.recorded(), 0u);
     EXPECT_EQ(t.size(), 0u);
     EXPECT_FALSE(t.enabled());
+}
+
+TEST(Trace, DisabledTracerAllocatesNothing)
+{
+    const std::size_t before = allocations;
+    {
+        Tracer t(4096);
+        t.record(TraceEvent::Issue, 1, 0, 0, 0, 1, 0);
+        EXPECT_EQ(t.capacity(), 4096u);
+        EXPECT_EQ(t.size(), 0u);
+        t.forEach([](const TraceRecord &) { ADD_FAILURE(); });
+        t.setEnabled(false);
+    }
+    EXPECT_EQ(allocations - before, 0u);
+}
+
+TEST(Trace, FirstEnableAllocatesTheRing)
+{
+    if (!traceCompiledIn())
+        GTEST_SKIP() << "tracing compiled out (MSCP_TRACE=OFF)";
+    Tracer t(4096);
+    t.setEnabled(true);
+    t.setOverflowWarn(false);
+    for (std::uint64_t i = 0; i < 4100; ++i)
+        t.record(TraceEvent::Send, i, 1, 2, 3, i, i * 10);
+    EXPECT_EQ(t.capacity(), 4096u);
+    EXPECT_EQ(t.recorded(), 4100u);
+    EXPECT_EQ(t.dropped(), 4u);
+    EXPECT_EQ(t.size(), 4096u);
+    std::vector<std::uint64_t> seqs;
+    t.forEach([&](const TraceRecord &r) { seqs.push_back(r.seq); });
+    ASSERT_EQ(seqs.size(), 4096u);
+    EXPECT_EQ(seqs.front(), 4u);
+    EXPECT_EQ(seqs.back(), 4099u);
+
+    // Re-enabling keeps the ring and its records.
+    const std::size_t before = allocations;
+    t.setEnabled(false);
+    t.setEnabled(true);
+    EXPECT_EQ(allocations - before, 0u);
+    EXPECT_EQ(t.size(), 4096u);
+    EXPECT_EQ(t.snapshot().back().arg, 40990u);
 }
 
 TEST(Trace, EnabledReflectsCompileSwitch)
