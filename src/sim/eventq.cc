@@ -325,6 +325,14 @@ EventQueue::run(Tick max_ticks)
 }
 
 void
+EventQueue::restoreTick(Tick t)
+{
+    panic_if(live != 0,
+             "event queue: restoreTick with %zu event(s) pending", live);
+    _curTick = t;
+}
+
+void
 EventQueue::reset()
 {
     slab.clear();

@@ -160,6 +160,13 @@ class EventQueue
     void reset();
 
     /**
+     * Set time to @p t, earlier or later, on a queue with nothing
+     * pending (a model-checker state restore). Panics if an event
+     * is pending.
+     */
+    void restoreTick(Tick t);
+
+    /**
      * Attach a tracer recording an EvSchedule record per schedule()
      * call. Attach only while tracing is enabled (the owner's job),
      * so the untraced path pays exactly one null-pointer branch.

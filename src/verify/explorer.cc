@@ -125,7 +125,6 @@ Explorer::explore()
     std::unordered_set<Hash128, Hash128Hasher> settledSeen;
     std::vector<Frame> frames;
     std::vector<Action> path;
-    bool engineDirty = false;
 
     auto sleepHas = [](const std::vector<SleepEntry> &sleep,
                        std::uint64_t key) {
@@ -200,6 +199,17 @@ Explorer::explore()
         return f;
     };
 
+    // A frame that will expand more than one action saves its state
+    // in its depth's slot, and each action after its first restores
+    // it. Deferred actions count: the cycle proviso may append them
+    // after the frame is built.
+    auto pushFrame = [&](Frame &&f) {
+        if (f.acts.size() + f.deferred.size() > 1)
+            gw.save(frames.size());
+        ++onStack[f.h];
+        frames.push_back(std::move(f));
+    };
+
     Hash128 rootH = hashBytes(gw.canonical());
     seen.emplace(rootH, StoredSleep{});
     res.states = 1;
@@ -214,8 +224,7 @@ Explorer::explore()
             res.violations.push_back(v);
             return res;
         }
-        frames.push_back(buildFrame(rootH, std::move(acts), {}));
-        ++onStack[rootH];
+        pushFrame(buildFrame(rootH, std::move(acts), {}));
     }
 
     auto fail = [&](std::string kind,
@@ -234,21 +243,14 @@ Explorer::explore()
             if (os != onStack.end() && --os->second == 0)
                 onStack.erase(os);
             frames.pop_back();
-            if (!path.empty()) {
+            if (!path.empty())
                 path.pop_back();
-                engineDirty = true;
-            }
             continue;
         }
         const std::size_t ai = f.next++;
         const Action a = f.acts[ai];
-
-        if (engineDirty) {
-            gw.reset();
-            for (const Action &p : path)
-                gw.apply(p);
-            engineDirty = false;
-        }
+        if (ai > 0)
+            gw.restore(frames.size() - 1);
 
         bool panicked = false;
         std::string panicMsg;
@@ -356,7 +358,6 @@ Explorer::explore()
             if (superset) {
                 ++res.prunedSeen;
                 path.pop_back();
-                engineDirty = true;
                 continue;
             }
             std::vector<std::uint64_t> inter;
@@ -378,12 +379,9 @@ Explorer::explore()
         if (path.size() >= cfg.opt.maxDepth) {
             ++res.prunedDepth;
             path.pop_back();
-            engineDirty = true;
             continue;
         }
-        frames.push_back(
-            buildFrame(h, std::move(acts), std::move(childSleep)));
-        ++onStack[h];
+        pushFrame(buildFrame(h, std::move(acts), std::move(childSleep)));
     }
 
     res.complete = res.violations.empty() && !res.budgetExhausted &&

@@ -20,11 +20,13 @@ namespace mscp::verify
  * Depth-first exploration of the configuration's transition
  * system.
  *
- * The engine is non-copyable, so the explorer keeps exactly one
- * and restores states by deterministic replay of the action prefix
- * from a fresh reset. The seen-state set stores 128-bit hashes of
- * the canonical serialization; a revisited state prunes the
- * branch. Deadlocks (no enabled action with references
+ * The explorer keeps exactly one engine. A DFS frame that will
+ * expand more than one action saves its state in the gateway's
+ * slot for its depth, and each later action of the frame restores
+ * it by copy (EngineGateway::save/restore); counterexample
+ * minimization and trace export replay action lists from a reset.
+ * The seen-state set stores 128-bit hashes of the canonical
+ * serialization; a revisited state prunes the branch. Deadlocks (no enabled action with references
  * outstanding) are reported as violations.
  *
  * explore() checks *safety* only: a cycle of states revisits and

@@ -222,6 +222,18 @@ GatewaySubject::reset()
     gw->reset();
 }
 
+void
+GatewaySubject::save(std::size_t slot)
+{
+    gw->save(slot);
+}
+
+void
+GatewaySubject::restore(std::size_t slot)
+{
+    gw->restore(slot);
+}
+
 unsigned
 GatewaySubject::numCpus() const
 {
@@ -258,19 +270,18 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
     SilenceLogging silent;
     ExploreResult res;
 
+    /** A DFS frame: the enabled actions of a state and the spec
+     *  states consistent with the observations that reached it. */
     struct Frame
     {
         std::vector<Action> acts;
+        LinSpec spec;
         std::size_t next = 0;
     };
 
     std::unordered_set<Hash128, Hash128Hasher> seen;
     std::vector<Frame> frames;
     std::vector<Action> path;
-    bool dirty = false;
-
-    subj.reset();
-    LinSpec spec(subj.numCpus());
     std::string err;
 
     auto key = [&subj](const LinSpec &sp) {
@@ -279,9 +290,21 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
         return hashBytes(b);
     };
 
-    seen.insert(key(spec));
+    // A frame that will expand more than one action saves the
+    // subject's state in its depth's slot; each action after its
+    // first restores it.
+    auto pushFrame = [&](LinSpec &&spec) {
+        std::vector<Action> acts = subj.enabledActions();
+        if (acts.size() > 1)
+            subj.save(frames.size());
+        frames.push_back({std::move(acts), std::move(spec)});
+    };
+
+    subj.reset();
+    LinSpec root(subj.numCpus());
+    seen.insert(key(root));
     res.states = 1;
-    frames.push_back({subj.enabledActions(), 0});
+    pushFrame(std::move(root));
 
     auto fail = [&](std::string kind, std::string detail) {
         Violation v;
@@ -295,22 +318,14 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
         Frame &f = frames.back();
         if (f.next >= f.acts.size()) {
             frames.pop_back();
-            if (!path.empty()) {
+            if (!path.empty())
                 path.pop_back();
-                dirty = true;
-            }
             continue;
         }
-        const Action a = f.acts[f.next++];
-
-        if (dirty) {
-            subj.reset();
-            spec = LinSpec(subj.numCpus());
-            for (const Action &p : path)
-                for (const ObsEvent &e : subj.apply(p))
-                    spec.step(e, err); // replays a validated path
-            dirty = false;
-        }
+        const std::size_t ai = f.next++;
+        const Action a = f.acts[ai];
+        if (ai > 0)
+            subj.restore(frames.size() - 1);
 
         std::vector<ObsEvent> events;
         bool panicked = false;
@@ -329,6 +344,7 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
             fail("panic", err);
             return res;
         }
+        LinSpec spec = f.spec;
         bool violated = false;
         for (const ObsEvent &e : events) {
             if (!spec.step(e, err)) {
@@ -344,7 +360,6 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
         if (!seen.insert(key(spec)).second) {
             ++res.prunedSeen;
             path.pop_back();
-            dirty = true;
             continue;
         }
         ++res.states;
@@ -355,10 +370,9 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
         if (path.size() >= maxDepth) {
             ++res.prunedDepth;
             path.pop_back();
-            dirty = true;
             continue;
         }
-        frames.push_back({subj.enabledActions(), 0});
+        pushFrame(std::move(spec));
     }
 
     res.complete = res.violations.empty() && !res.budgetExhausted &&

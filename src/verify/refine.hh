@@ -23,7 +23,7 @@
  * action path that produced it.
  *
  * The harness is generic over a Subject so future engines (e.g. a
- * timestamp-based protocol) plug in by implementing five virtuals;
+ * timestamp-based protocol) plug in by implementing seven virtuals;
  * GatewaySubject adapts the controlled-mode gateway. Symmetry
  * reduction is forced off underneath a subject: the spec set is
  * keyed by concrete cpu ids, which role permutation would alias.
@@ -47,8 +47,15 @@ class Subject
   public:
     virtual ~Subject() = default;
 
-    /** Rebuild the initial state. */
+    /** Return to the initial state. */
     virtual void reset() = 0;
+
+    /** Save the current state into slot @p slot (the DFS passes its
+     *  depth), overwriting what the slot held. */
+    virtual void save(std::size_t slot) = 0;
+
+    /** Return to the state saved in slot @p slot. */
+    virtual void restore(std::size_t slot) = 0;
 
     /** Number of cpus issuing operations (spec width). */
     virtual unsigned numCpus() const = 0;
@@ -78,6 +85,8 @@ class GatewaySubject final : public Subject
     ~GatewaySubject() override;
 
     void reset() override;
+    void save(std::size_t slot) override;
+    void restore(std::size_t slot) override;
     unsigned numCpus() const override;
     std::vector<Action> enabledActions() override;
     std::vector<ObsEvent> apply(const Action &a) override;

@@ -20,12 +20,18 @@
  *  - Rejoin     a dead node cold-restarts;
  *  - Sweep      a dead node's stabilization sweep runs at the homes.
  *
- * Engines are deliberately non-copyable (the event queue holds
- * inline callbacks), so "restore" is replay: the explorer rebuilds
- * any state by resetting the gateway and re-applying the action
- * prefix that reached it. Determinism makes replay exact. The
- * canonical byte serialization (canon.cc) exists only for the
- * seen-state set and for symmetry reduction -- it is never
+ * Between two actions the controlled engine is plain copyable
+ * data: its mutable part (proto::ConcurrentState) plus the event
+ * queue's tick. The gateway saves and restores states by copying
+ * exactly that. save(slot) copy-assigns the state into a slot the
+ * gateway owns and restore(slot) copies it back; the DFS loops
+ * index slots by depth, so a reused slot allocates almost nothing.
+ * reset() restores the snapshot taken before the first action.
+ * Action lists the DFS never held states for (counterexample
+ * minimization, lasso validation, the Chrome export) are replayed
+ * from a reset through applyIfEnabled(); determinism makes replay
+ * exact. The canonical byte serialization (canon.cc) exists only
+ * for the seen-state set and for symmetry reduction -- it is never
  * deserialized.
  */
 
@@ -34,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,8 +71,8 @@ const char *actionKindName(ActionKind k);
 /**
  * One enabled transition. For Deliver, @c index addresses the
  * pending buffer at enumeration time and @c fp fingerprints the
- * message content so a replay on a rebuilt engine (whose buffer
- * order may differ after minimization) can re-locate it. The
+ * message content so a replay from a reset (whose buffer order
+ * may differ after minimization) can re-locate it. The
  * remaining fields describe the message for counterexample output.
  */
 struct Action
@@ -217,14 +224,23 @@ class EngineGateway
                            bool with_trace = false);
     ~EngineGateway();
 
-    /** Rebuild the engine in its initial state. */
+    /** Return to the initial state. A traced gateway also clears
+     *  its tracer. */
     void reset();
+
+    /** Save the current state into slot @p slot, overwriting what
+     *  the slot held. */
+    void save(std::size_t slot);
+
+    /** Return to the state saved in slot @p slot. Panics unless the
+     *  engine is in controlled mode with an empty event queue. */
+    void restore(std::size_t slot);
 
     /** Enabled transitions, in a fixed deterministic order. */
     std::vector<Action> enabledActions() const;
 
-    /** Apply an enabled action. Engine panics surface as
-     *  PanicError. */
+    /** Apply an enabled action, starting a fresh observation log.
+     *  Engine panics surface as PanicError. */
     void apply(const Action &a);
 
     /**
@@ -301,7 +317,15 @@ class EngineGateway
     using Engine = proto::ConcurrentProtocol;
     using Msg = Engine::Msg;
 
-    void buildEngine();
+    /** One saved state: what a controlled-mode action can change. */
+    struct Snapshot
+    {
+        proto::ConcurrentState state;
+        Tick tick = 0;
+    };
+
+    void saveInto(Snapshot &snap) const;
+    void restoreFrom(const Snapshot &snap);
     /** Advance virtual time by one tick (one sentinel event), so
      *  durable-write stamps and LRU updates of successive actions
      *  stay causally ordered. */
@@ -335,7 +359,11 @@ class EngineGateway
     std::uint64_t nBlocks = 0;
     std::unique_ptr<net::OmegaNetwork> net;
     std::unique_ptr<Engine> eng;
-    std::uint64_t actionsApplied = 0;
+    /** The initial state, saved by the first apply() so building a
+     *  gateway copies nothing; reset() restores it. */
+    std::optional<Snapshot> root;
+    /** save()/restore() slots. */
+    std::vector<Snapshot> slots;
 };
 
 } // namespace mscp::verify

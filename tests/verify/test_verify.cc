@@ -193,6 +193,46 @@ threeCpuConfig()
     return cfg;
 }
 
+/** verify_sweep's seven configurations, in its row order. */
+std::vector<VerifyConfig>
+sweepConfigs()
+{
+    // GR over two blocks in one-entry caches, so evictions,
+    // hand-offs and owner announcements run.
+    VerifyConfig gr = threeCpuConfig();
+    gr.name = "B-gr2blk";
+    gr.mode = cache::Mode::GlobalRead;
+    gr.program = {
+        {{0, 0, true, 7}, {0, 1, true, 8}},
+        {{1, 0, false, 0}, {1, 1, false, 0}},
+        {{2, 0, false, 0}, {2, 1, false, 0}},
+    };
+    VerifyConfig evict = smallConfig(cache::Mode::DistributedWrite);
+    evict.name = "C-evict";
+    evict.program = {
+        {{0, 0, true, 1}, {0, 1, true, 2}, {0, 0, false, 0}},
+        {{1, 1, false, 0}},
+    };
+    VerifyConfig timeout = smallConfig(cache::Mode::DistributedWrite);
+    timeout.name = "D-timeout";
+    timeout.program = {{{0, 0, true, 1}}, {{1, 0, false, 0}}};
+    timeout.opt.timeoutBase = 1;
+    timeout.opt.maxRetries = 1;
+    // Timeouts, suspicion and one crash.
+    VerifyConfig crash = timeout;
+    crash.name = "E-crash";
+    crash.opt.crashBudget = 1;
+    crash.opt.allowRejoin = false;
+    crash.opt.dedupResends = true;
+    return {smallConfig(cache::Mode::DistributedWrite),
+            smallConfig(cache::Mode::GlobalRead),
+            threeCpuConfig(),
+            gr,
+            evict,
+            timeout,
+            crash};
+}
+
 } // anonymous namespace
 
 TEST(Verify, PorExhaustsThreeCpuConfig)
@@ -370,6 +410,22 @@ TEST(Verify, ActionEnumerationIsStable)
     EXPECT_EQ(a[1].kind, ActionKind::Issue);
 }
 
+TEST(Verify, ApplyStartsAFreshObservationLog)
+{
+    EngineGateway gw(smallConfig(cache::Mode::DistributedWrite));
+    gw.apply(gw.enabledActions().at(0)); // cpu0 issues its write
+    Action issue1 = gw.enabledActions().at(0);
+    ASSERT_EQ(issue1.kind, ActionKind::Issue);
+    ASSERT_EQ(issue1.node, 1u);
+    gw.apply(issue1); // without draining cpu0's invoke
+
+    std::vector<verify::ObsEvent> obs = gw.takeObservations();
+    ASSERT_EQ(obs.size(), 1u);
+    EXPECT_EQ(obs[0].cpu, 1u);
+    EXPECT_TRUE(obs[0].invoke);
+    EXPECT_FALSE(obs[0].isWrite);
+}
+
 TEST(Verify, CanonicalDropsAbsoluteTime)
 {
     // Two engines reaching the same protocol state along action
@@ -472,37 +528,112 @@ minimizedCounterexample(VerifyConfig cfg)
 
 TEST(Verify, RandomSchedulesMatchGoldenDigest)
 {
-    std::vector<VerifyConfig> cfgs = {
-        smallConfig(cache::Mode::DistributedWrite),
-        smallConfig(cache::Mode::GlobalRead),
-        threeCpuConfig(),
-    };
-    // verify_sweep's B-gr2blk: GR over two blocks in one-entry
-    // caches, so evictions, hand-offs and owner announcements run.
-    VerifyConfig gr = threeCpuConfig();
-    gr.name = "B-gr2blk";
-    gr.mode = cache::Mode::GlobalRead;
-    gr.program = {
-        {{0, 0, true, 7}, {0, 1, true, 8}},
-        {{1, 0, false, 0}, {1, 1, false, 0}},
-        {{2, 0, false, 0}, {2, 1, false, 0}},
-    };
-    cfgs.push_back(gr);
-    // verify_sweep's E-crash: timeouts, suspicion and one crash.
-    VerifyConfig crash = smallConfig(cache::Mode::DistributedWrite);
-    crash.name = "E-crash";
-    crash.program = {{{0, 0, true, 1}}, {{1, 0, false, 0}}};
-    crash.opt.crashBudget = 1;
-    crash.opt.allowRejoin = false;
-    crash.opt.timeoutBase = 1;
-    crash.opt.maxRetries = 1;
-    crash.opt.dedupResends = true;
-    cfgs.push_back(crash);
-
+    // The digest was recorded over five of the sweep's configs.
     std::string rendered;
-    for (const VerifyConfig &cfg : cfgs)
-        rendered += scheduleDigest(cfg, 300, 80);
+    for (const VerifyConfig &cfg : sweepConfigs())
+        if (cfg.name != "C-evict" && cfg.name != "D-timeout")
+            rendered += scheduleDigest(cfg, 300, 80);
     expectGolden("golden_schedule_digest.txt", rendered);
+}
+
+// ---------------------------------------------------------------
+// Snapshot restore against replay: the DFS loops restore states by
+// copying them back, so a restored gateway must be indistinguishable
+// from one that reached the same state by replaying its path.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** Compare everything the gateway exposes about its state. */
+void
+expectSameState(const EngineGateway &got, const EngineGateway &want,
+                const std::string &where)
+{
+    SCOPED_TRACE(where);
+    EXPECT_TRUE(got.canonical() == want.canonical());
+    const std::vector<Action> ga = got.enabledActions();
+    const std::vector<Action> wa = want.enabledActions();
+    ASSERT_EQ(ga.size(), wa.size());
+    for (std::size_t i = 0; i < ga.size(); ++i) {
+        EXPECT_EQ(ga[i].kind, wa[i].kind);
+        EXPECT_EQ(ga[i].node, wa[i].node);
+        EXPECT_EQ(ga[i].index, wa[i].index);
+        EXPECT_EQ(ga[i].fp, wa[i].fp);
+    }
+    EXPECT_EQ(got.settled(), want.settled());
+    EXPECT_EQ(got.refsOutstanding(), want.refsOutstanding());
+    EXPECT_EQ(got.valueErrors(), want.valueErrors());
+    EXPECT_EQ(got.pendingSamples(), want.pendingSamples());
+    EXPECT_TRUE(got.engine().counters() == want.engine().counters());
+    EXPECT_EQ(got.engine().messageCounters().count,
+              want.engine().messageCounters().count);
+    EXPECT_EQ(got.engine().messageCounters().bits,
+              want.engine().messageCounters().bits);
+    EXPECT_EQ(got.engine().curTick(), want.engine().curTick());
+}
+
+} // anonymous namespace
+
+TEST(Verify, SnapshotRestoreMatchesFreshReplay)
+{
+    // Seeded random walks. At every step the walking gateway saves
+    // the state into its depth's slot, wanders up to three random
+    // actions away and restores; a new gateway replays the walk's
+    // prefix and must agree, first in the restored state and then
+    // after the same wander on both (catching state the canonical
+    // form drops but later actions read). Slots are reused across
+    // walks, and each walk starts from reset().
+    std::uint64_t rng = 0x5a4e;
+    auto next = [&rng](std::size_t n) {
+        std::uint64_t z = rng += 0x9e3779b97f4a7c15ull;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return static_cast<std::size_t>((z ^ (z >> 31)) % n);
+    };
+    for (const VerifyConfig &cfg : sweepConfigs()) {
+        EngineGateway gw(cfg);
+        for (unsigned walk = 0; walk < 12; ++walk) {
+            gw.reset();
+            std::vector<Action> prefix;
+            for (unsigned step = 0; step < 60; ++step) {
+                std::vector<Action> acts = gw.enabledActions();
+                if (acts.empty())
+                    break;
+                gw.save(prefix.size());
+                std::vector<Action> wander;
+                for (unsigned k = 0; k < 3; ++k) {
+                    std::vector<Action> here = gw.enabledActions();
+                    if (here.empty())
+                        break;
+                    wander.push_back(here[next(here.size())]);
+                    gw.apply(wander.back());
+                }
+                gw.restore(prefix.size());
+
+                EngineGateway fresh(cfg);
+                for (const Action &a : prefix)
+                    fresh.apply(a);
+                const std::string where =
+                    cfg.name + " walk " + std::to_string(walk) +
+                    " step " + std::to_string(step);
+                expectSameState(gw, fresh, where + " restored");
+                for (std::size_t k = 0; k < wander.size(); ++k) {
+                    gw.apply(wander[k]);
+                    fresh.apply(wander[k]);
+                    expectSameState(gw, fresh,
+                                    where + " wander " +
+                                        std::to_string(k));
+                }
+                if (HasFailure())
+                    return;
+
+                gw.restore(prefix.size());
+                prefix.push_back(acts[next(acts.size())]);
+                gw.apply(prefix.back());
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------
