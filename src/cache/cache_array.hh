@@ -123,6 +123,17 @@ class CacheArray
                 fn(e);
     }
 
+    /** Read-only visit of every occupied entry, in storage order
+     *  (the model checker's canonical serialization). */
+    template <typename Fn>
+    void
+    forEachOccupied(Fn &&fn) const
+    {
+        for (const auto &e : entries)
+            if (e.occupied)
+                fn(e);
+    }
+
     /** Number of occupied entries (for tests and stats). */
     unsigned occupiedCount() const;
 

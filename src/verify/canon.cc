@@ -38,8 +38,9 @@
  */
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
+#include "sim/logging.hh"
 #include "verify/canon.hh"
 #include "verify/state.hh"
 
@@ -90,39 +91,61 @@ seqSpaceOf(MsgType t)
     }
 }
 
-/** Order-preserving rank map: value -> dense rank from 1 (0 stays
- *  0 = unset; equal values share a rank). */
-using RankMap = std::map<std::uint64_t, std::uint64_t>;
+} // anonymous namespace
 
 void
-note(RankMap &space, std::uint64_t v)
+RankSpaces::seal()
 {
-    if (v)
-        space.emplace(v, 0);
-}
-
-void
-assignRanks(RankMap &space)
-{
-    std::uint64_t r = 0;
-    for (auto &[v, rank] : space) {
-        (void)v;
-        rank = ++r;
+    std::sort(vals.begin(), vals.end());
+    std::size_t kept = 0;
+    for (const Value &x : vals) {
+        if (kept > 0 && vals[kept - 1].space == x.space) {
+            if (vals[kept - 1].v == x.v)
+                continue;
+            vals[kept] = {x.space, x.v, vals[kept - 1].rank + 1};
+        } else {
+            vals[kept] = {x.space, x.v, 1};
+        }
+        ++kept;
     }
+    vals.resize(kept);
 }
 
 std::uint64_t
-rankOf(const RankMap &space, std::uint64_t v)
+RankSpaces::rankOf(RankKind kind, unsigned owner, std::uint64_t v) const
 {
     if (!v)
         return 0;
-    auto it = space.find(v);
-    return it == space.end() ? ~std::uint64_t{0} : it->second;
+    const Value key{spaceOf(kind, owner), v};
+    auto it = std::lower_bound(vals.begin(), vals.end(), key);
+    if (it == vals.end() || it->space != key.space || it->v != v) {
+        static const char *const names[] = {
+            "attempt-seq space of cpu", "busy-token space of home",
+            "durable-stamp space of home", "LRU space of cache set"};
+        panic("canonical: %llu was never collected into the %s %u",
+              static_cast<unsigned long long>(v),
+              names[static_cast<unsigned>(kind)], owner);
+    }
+    return it->rank;
 }
 
-} // anonymous namespace
+void
+CanonScratch::reserveOnce()
+{
+    if (reserved)
+        return;
+    reserved = true;
+    ranks.reserve(256);
+    lru.reserve(16);
+    entries.reserve(16);
+    writes.reserve(16);
+    streams.reserve(64);
+    sweeps.reserve(16);
+    best.reserve(4096);
+    cand.reserve(4096);
+}
 
-std::vector<std::uint8_t>
+const std::vector<std::uint8_t> &
 EngineGateway::canonical() const
 {
     const Engine *e = eng.get();
@@ -131,6 +154,8 @@ EngineGateway::canonical() const
     const std::uint64_t nb = nBlocks;
     const unsigned bw = g.blockWords;
     const bool timeouts = cfg.opt.timeoutBase > 0;
+    CanonScratch &sc = canonScratch;
+    sc.reserveOnce();
 
     auto homeOfBlk = [n](BlockId b) {
         return static_cast<NodeId>(b % n);
@@ -139,75 +164,78 @@ EngineGateway::canonical() const
     // ------------------------------------------------------------
     // Pass 1: collect the value spaces that get rank-renumbered.
     // ------------------------------------------------------------
-    std::vector<RankMap> cpuSeq(n), homeTok(n), homeStamp(n);
+    RankSpaces &ranks = sc.ranks;
+    ranks.clear();
+    sc.seen.resize(std::size_t{n} * n);
+    using enum RankKind;
 
     auto noteMsg = [&](const Msg &m) {
         switch (seqSpaceOf(m.type)) {
           case SeqSpace::Requester:
             if (m.requester < n)
-                note(cpuSeq[m.requester], m.seq);
+                ranks.note(CpuSeq, m.requester, m.seq);
             break;
           case SeqSpace::Dst:
             if (m.dst < n)
-                note(cpuSeq[m.dst], m.seq);
+                ranks.note(CpuSeq, m.dst, m.seq);
             break;
           case SeqSpace::Stamp:
-            note(homeStamp[homeOfBlk(m.blk)], m.seq);
+            ranks.note(HomeStamp, homeOfBlk(m.blk), m.seq);
             break;
           case SeqSpace::None:
             break;
         }
-        note(homeTok[homeOfBlk(m.blk)], m.tok);
+        ranks.note(HomeToken, homeOfBlk(m.blk), m.tok);
     };
 
     for (unsigned c = 0; c < n; ++c) {
         const auto &cs = e->cpus[c];
         if (cs.active) {
-            note(cpuSeq[c], cs.txSeq);
+            ranks.note(CpuSeq, c, cs.txSeq);
             if (cs.timeoutArmed)
-                note(cpuSeq[c], cs.vTimeoutSeq);
+                ranks.note(CpuSeq, c, cs.vTimeoutSeq);
             if (timeouts)
                 noteMsg(cs.lastReq);
         }
         if (cs.evicting)
-            note(homeTok[homeOfBlk(cs.victimBlk)], cs.evictToken);
+            ranks.note(HomeToken, homeOfBlk(cs.victimBlk),
+                       cs.evictToken);
     }
     for (unsigned h = 0; h < n; ++h) {
         const auto &hs = e->homes[h];
         for (BlockId blk = h; blk < nb; blk += n) {
             if (const std::uint64_t *t = hs.busyToken.find(blk))
-                note(homeTok[h], *t);
+                ranks.note(HomeToken, h, *t);
             if (const auto *q = hs.waiting.find(blk))
                 for (const Msg &m : *q)
                     noteMsg(m);
             for (unsigned off = 0; off < bw; ++off) {
                 Addr a = static_cast<Addr>(blk) * bw + off;
                 if (const Tick *st = hs.durableStamp.find(a))
-                    note(homeStamp[h], *st);
+                    ranks.note(HomeStamp, h, *st);
             }
         }
         for (unsigned c = 0; c < n; ++c) {
-            if (const std::uint64_t *s = hs.seqSeen.find(c))
-                note(cpuSeq[c], *s);
+            const std::uint64_t *s = hs.seqSeen.find(c);
+            sc.seen[h * n + c] = s;
+            if (s)
+                ranks.note(CpuSeq, c, *s);
         }
     }
     for (const auto &p : e->vPending)
         noteMsg(p.msg);
 
-    for (unsigned c = 0; c < n; ++c)
-        assignRanks(cpuSeq[c]);
-    for (unsigned h = 0; h < n; ++h) {
-        assignRanks(homeTok[h]);
-        assignRanks(homeStamp[h]);
-    }
+    ranks.seal();
 
     // ------------------------------------------------------------
-    // Pass 2: serialize under one cache-role permutation.
-    // inv[newId] = oldId.
+    // Pass 2: serialize under one cache-role permutation
+    // (sc.inv[newId] = oldId) into @p out.
     // ------------------------------------------------------------
     auto serializeUnder =
-        [&](const std::vector<NodeId> &inv) {
-            std::vector<NodeId> toNew(n);
+        [&](ByteSink &out) {
+            const std::vector<NodeId> &inv = sc.inv;
+            std::vector<NodeId> &toNew = sc.toNew;
+            toNew.resize(n);
             for (unsigned j = 0; j < n; ++j)
                 toNew[inv[j]] = static_cast<NodeId>(j);
 
@@ -217,65 +245,68 @@ EngineGateway::canonical() const
                 return c < n ? toNew[c] : c;
             };
 
-            ByteSink out;
+            out.clear();
 
-            auto writeBits = [&](const DynamicBitset &bits) {
-                out.u32(static_cast<std::uint32_t>(bits.size()));
+            // The writers take the sink as a parameter: captured, it
+            // would be reloaded after every byte store.
+            auto writeBits = [&](ByteSink &o, const DynamicBitset &bits) {
+                o.u32(static_cast<std::uint32_t>(bits.size()));
                 for (unsigned j = 0; j < n && j < bits.size(); ++j)
-                    out.u8(bits.test(inv[j]) ? 1 : 0);
+                    o.u8(bits.test(inv[j]) ? 1 : 0);
             };
 
-            auto writeMsg = [&](const Msg &m, bool src_is_mem) {
-                out.u8(static_cast<std::uint8_t>(m.type));
-                out.u8(src_is_mem ? 1 : 0);
-                out.u8(m.toMemory ? 1 : 0);
-                out.u32(src_is_mem ? m.src : mapNode(m.src));
-                out.u32(m.toMemory ? m.dst : mapNode(m.dst));
-                out.u64(m.blk);
-                out.u32(m.offset);
+            auto writeMsg = [&](ByteSink &o, const Msg &m,
+                                bool src_is_mem) {
+                o.u8(static_cast<std::uint8_t>(m.type));
+                o.u8(src_is_mem ? 1 : 0);
+                o.u8(m.toMemory ? 1 : 0);
+                o.u32(src_is_mem ? m.src : mapNode(m.src));
+                o.u32(m.toMemory ? m.dst : mapNode(m.dst));
+                o.u64(m.blk);
+                o.u32(m.offset);
                 // requester is a cache role except on RecoveryPurge
                 // (the probing home) and the hand-off transfers
                 // (invalidNode sentinel, covered by mapNode).
-                out.u32(m.type == MsgType::RecoveryPurge
-                            ? m.requester : mapNode(m.requester));
+                o.u32(m.type == MsgType::RecoveryPurge
+                          ? m.requester : mapNode(m.requester));
                 // value is a node id only on OwnerAnnounce.
-                out.u64(m.type == MsgType::OwnerAnnounce
-                            ? mapNode(static_cast<NodeId>(m.value))
-                            : m.value);
+                o.u64(m.type == MsgType::OwnerAnnounce
+                          ? mapNode(static_cast<NodeId>(m.value))
+                          : m.value);
                 switch (seqSpaceOf(m.type)) {
                   case SeqSpace::Requester:
-                    out.u64(m.requester < n
-                                ? rankOf(cpuSeq[m.requester], m.seq)
-                                : m.seq);
+                    o.u64(m.requester < n
+                              ? ranks.rankOf(CpuSeq, m.requester, m.seq)
+                              : m.seq);
                     break;
                   case SeqSpace::Dst:
-                    out.u64(m.dst < n
-                                ? rankOf(cpuSeq[m.dst], m.seq)
-                                : m.seq);
+                    o.u64(m.dst < n
+                              ? ranks.rankOf(CpuSeq, m.dst, m.seq)
+                              : m.seq);
                     break;
                   case SeqSpace::Stamp:
-                    out.u64(rankOf(homeStamp[homeOfBlk(m.blk)],
-                                   m.seq));
+                    o.u64(ranks.rankOf(HomeStamp, homeOfBlk(m.blk),
+                                       m.seq));
                     break;
                   case SeqSpace::None:
-                    out.u64(m.seq);
+                    o.u64(m.seq);
                     break;
                 }
-                out.u64(rankOf(homeTok[homeOfBlk(m.blk)], m.tok));
-                out.u8(m.flag ? 1 : 0);
-                out.u8(static_cast<std::uint8_t>(m.field.state));
-                out.u8(m.field.modified ? 1 : 0);
-                out.u32(mapNode(m.field.owner));
-                writeBits(m.field.present);
-                out.u32(static_cast<std::uint32_t>(m.data.size()));
+                o.u64(ranks.rankOf(HomeToken, homeOfBlk(m.blk), m.tok));
+                o.u8(m.flag ? 1 : 0);
+                o.u8(static_cast<std::uint8_t>(m.field.state));
+                o.u8(m.field.modified ? 1 : 0);
+                o.u32(mapNode(m.field.owner));
+                writeBits(o, m.field.present);
+                o.u32(static_cast<std::uint32_t>(m.data.size()));
                 for (std::uint64_t w : m.data)
-                    out.u64(w);
+                    o.u64(w);
             };
 
-            auto writeRef = [&](const workload::MemRef &r) {
-                out.u8(r.isWrite ? 1 : 0);
-                out.u64(r.addr);
-                out.u64(r.value);
+            auto writeRef = [&](ByteSink &o, const workload::MemRef &r) {
+                o.u8(r.isWrite ? 1 : 0);
+                o.u64(r.addr);
+                o.u64(r.value);
             };
 
             // ---- cpu sections, new-id order --------------------
@@ -292,72 +323,83 @@ EngineGateway::canonical() const
                     out.u32(cs.attempts);
                     out.u32(cs.pointerRetries);
                     out.u32(cs.pendingAcks);
-                    writeRef(cs.ref);
-                    out.u64(rankOf(cpuSeq[c], cs.txSeq));
+                    writeRef(out, cs.ref);
+                    out.u64(ranks.rankOf(CpuSeq, c, cs.txSeq));
                     out.u64(cs.timeoutArmed
-                                ? rankOf(cpuSeq[c], cs.vTimeoutSeq)
+                                ? ranks.rankOf(CpuSeq, c, cs.vTimeoutSeq)
                                 : 0);
                     if (cs.phase == Engine::Phase::WaitDwAcks ||
                         cs.phase == Engine::Phase::WaitInvalAcks)
-                        writeBits(cs.ackFrom);
+                        writeBits(out, cs.ackFrom);
                     if (timeouts)
-                        writeMsg(cs.lastReq, false);
+                        writeMsg(out, cs.lastReq, false);
                 }
                 out.u32(static_cast<std::uint32_t>(
                     cs.queue.size()));
                 for (const auto &r : cs.queue)
-                    writeRef(r);
+                    writeRef(out, r);
                 out.u8(cs.evicting ? 1 : 0);
                 if (cs.evicting) {
                     out.u64(cs.victimBlk);
-                    out.u64(rankOf(homeTok[homeOfBlk(cs.victimBlk)],
-                                   cs.evictToken));
+                    out.u64(ranks.rankOf(HomeToken,
+                                         homeOfBlk(cs.victimBlk),
+                                         cs.evictToken));
                     out.u32(static_cast<std::uint32_t>(cs.candIdx));
                     out.u32(static_cast<std::uint32_t>(
                         cs.candidates.size()));
                     for (NodeId cand : cs.candidates)
                         out.u32(mapNode(cand));
                 }
+                // The four sets are usually empty; skip their lookups.
+                const bool pins = !cs.pinnedTx.empty() ||
+                    !cs.pinnedOffer.empty() ||
+                    !cs.clearPending.empty() || !cs.purged.empty();
                 for (BlockId blk = 0; blk < nb; ++blk) {
                     std::uint8_t flags = 0;
-                    if (cs.pinnedTx.contains(blk))
+                    if (pins && cs.pinnedTx.contains(blk))
                         flags |= 1;
-                    if (cs.pinnedOffer.contains(blk))
+                    if (pins && cs.pinnedOffer.contains(blk))
                         flags |= 2;
-                    if (cs.clearPending.contains(blk))
+                    if (pins && cs.clearPending.contains(blk))
                         flags |= 4;
-                    if (cs.purged.contains(blk))
+                    if (pins && cs.purged.contains(blk))
                         flags |= 8;
                     out.u8(flags);
                 }
 
-                // Cache entries, per set, block order, with the LRU
-                // use clock reduced to a per-set rank.
-                auto occ = cs.array.occupiedEntries();
+                // Cache entries, per set in block order, with the
+                // LRU use clock reduced to a per-set rank.
+                sc.entries.clear();
+                cs.array.forEachOccupied([&](const cache::Entry &en) {
+                    sc.entries.push_back(&en);
+                });
+                std::sort(sc.entries.begin(), sc.entries.end(),
+                          [&g](const cache::Entry *a,
+                               const cache::Entry *b) {
+                              const unsigned sa = g.setOf(a->block);
+                              const unsigned sb = g.setOf(b->block);
+                              return sa != sb ? sa < sb
+                                              : a->block < b->block;
+                          });
+                std::size_t k = 0;
                 for (unsigned s = 0; s < g.numSets; ++s) {
-                    std::vector<const cache::Entry *> setEntries;
-                    for (const cache::Entry *en : occ)
-                        if (g.setOf(en->block) == s)
-                            setEntries.push_back(en);
-                    std::sort(setEntries.begin(), setEntries.end(),
-                              [](const cache::Entry *a,
-                                 const cache::Entry *b) {
-                                  return a->block < b->block;
-                              });
-                    RankMap lru;
-                    for (const cache::Entry *en : setEntries)
-                        note(lru, en->lastUse);
-                    assignRanks(lru);
-                    out.u32(static_cast<std::uint32_t>(
-                        setEntries.size()));
-                    for (const cache::Entry *en : setEntries) {
+                    const std::size_t first = k;
+                    sc.lru.clear();
+                    for (; k < sc.entries.size() &&
+                           g.setOf(sc.entries[k]->block) == s;
+                         ++k)
+                        sc.lru.note(SetLru, s, sc.entries[k]->lastUse);
+                    sc.lru.seal();
+                    out.u32(static_cast<std::uint32_t>(k - first));
+                    for (std::size_t i = first; i < k; ++i) {
+                        const cache::Entry *en = sc.entries[i];
                         out.u64(en->block);
                         out.u8(static_cast<std::uint8_t>(
                             en->field.state));
                         out.u8(en->field.modified ? 1 : 0);
                         out.u32(mapNode(en->field.owner));
-                        writeBits(en->field.present);
-                        out.u64(rankOf(lru, en->lastUse));
+                        writeBits(out, en->field.present);
+                        out.u64(sc.lru.rankOf(SetLru, s, en->lastUse));
                         for (std::uint64_t w : en->data)
                             out.u64(w);
                     }
@@ -371,7 +413,7 @@ EngineGateway::canonical() const
                     const std::uint64_t *tok =
                         hs.busyToken.find(blk);
                     out.u8(tok ? 1 : 0);
-                    out.u64(tok ? rankOf(homeTok[h], *tok) : 0);
+                    out.u64(tok ? ranks.rankOf(HomeToken, h, *tok) : 0);
                     auto rel = hs.busyReleaser.find(blk);
                     out.u32(rel == hs.busyReleaser.end()
                                 ? NodeMarker
@@ -385,7 +427,7 @@ EngineGateway::canonical() const
                               : 0);
                     if (q)
                         for (const Msg &m : *q)
-                            writeMsg(m, false);
+                            writeMsg(out, m, false);
 
                     auto ctx = hs.recoveryCtx.find(blk);
                     out.u8(ctx != hs.recoveryCtx.end() ? 1 : 0);
@@ -407,18 +449,17 @@ EngineGateway::canonical() const
 
                     out.u32(mapNode(
                         hs.mem.blockStore().owner(blk)));
-                    for (std::uint64_t w : hs.mem.readBlock(blk))
-                        out.u64(w);
+                    for (unsigned off = 0; off < bw; ++off)
+                        out.u64(hs.mem.readWord(blk, off));
                     for (unsigned off = 0; off < bw; ++off) {
                         Addr a = static_cast<Addr>(blk) * bw + off;
                         const Tick *st = hs.durableStamp.find(a);
-                        out.u64(st ? rankOf(homeStamp[h], *st) : 0);
+                        out.u64(st ? ranks.rankOf(HomeStamp, h, *st) : 0);
                     }
                 }
                 for (unsigned j = 0; j < n; ++j) {
-                    const std::uint64_t *s =
-                        hs.seqSeen.find(inv[j]);
-                    out.u64(s ? rankOf(cpuSeq[inv[j]], *s) : 0);
+                    const std::uint64_t *s = sc.seen[h * n + inv[j]];
+                    out.u64(s ? ranks.rankOf(CpuSeq, inv[j], *s) : 0);
                 }
             }
 
@@ -433,29 +474,21 @@ EngineGateway::canonical() const
                 } else {
                     // The per-address multiset erases by swap-with
                     // -last: order is path noise, so sort.
-                    std::vector<std::uint64_t> vals(*pw);
-                    std::sort(vals.begin(), vals.end());
+                    sc.writes.assign(pw->begin(), pw->end());
+                    std::sort(sc.writes.begin(), sc.writes.end());
                     out.u32(static_cast<std::uint32_t>(
-                        vals.size()));
-                    for (std::uint64_t v : vals)
+                        sc.writes.size()));
+                    for (std::uint64_t v : sc.writes)
                         out.u64(v);
                 }
             }
 
             // ---- pending messages, grouped per stream ----------
-            struct Keyed
-            {
-                std::uint32_t src;
-                std::uint8_t srcIsMem;
-                std::uint32_t dst;
-                std::uint8_t toMemory;
-                std::size_t idx;
-            };
-            std::vector<Keyed> order;
-            order.reserve(e->vPending.size());
+            using StreamKey = CanonScratch::StreamKey;
+            sc.streams.clear();
             for (std::size_t i = 0; i < e->vPending.size(); ++i) {
                 const auto &p = e->vPending[i];
-                order.push_back(
+                sc.streams.push_back(
                     {p.srcIsMem ? p.msg.src : mapNode(p.msg.src),
                      static_cast<std::uint8_t>(p.srcIsMem ? 1 : 0),
                      p.msg.toMemory ? p.msg.dst
@@ -464,52 +497,49 @@ EngineGateway::canonical() const
                          p.msg.toMemory ? 1 : 0),
                      i});
             }
-            // Stable: FIFO order within a stream is behavior, the
-            // interleaving across streams is not.
-            std::stable_sort(
-                order.begin(), order.end(),
-                [](const Keyed &a, const Keyed &b) {
-                    if (a.src != b.src)
-                        return a.src < b.src;
-                    if (a.srcIsMem != b.srcIsMem)
-                        return a.srcIsMem < b.srcIsMem;
-                    if (a.dst != b.dst)
-                        return a.dst < b.dst;
-                    return a.toMemory < b.toMemory;
-                });
-            out.u32(static_cast<std::uint32_t>(order.size()));
-            for (const Keyed &k : order)
-                writeMsg(e->vPending[k.idx].msg,
+            // FIFO order within a stream is behavior, the
+            // interleaving across streams is not; the buffer index
+            // breaks ties, so the order is the stable one.
+            std::sort(sc.streams.begin(), sc.streams.end(),
+                      [](const StreamKey &a, const StreamKey &b) {
+                          return std::tie(a.src, a.srcIsMem, a.dst,
+                                          a.toMemory, a.idx) <
+                                 std::tie(b.src, b.srcIsMem, b.dst,
+                                          b.toMemory, b.idx);
+                      });
+            out.u32(static_cast<std::uint32_t>(sc.streams.size()));
+            for (const StreamKey &k : sc.streams)
+                writeMsg(out, e->vPending[k.idx].msg,
                          e->vPending[k.idx].srcIsMem);
 
             // ---- pending sweeps, crash budget ------------------
-            std::vector<std::uint32_t> sweeps;
+            sc.sweeps.clear();
             for (NodeId d : e->vSweepPending)
-                sweeps.push_back(mapNode(d));
-            std::sort(sweeps.begin(), sweeps.end());
-            out.u32(static_cast<std::uint32_t>(sweeps.size()));
-            for (std::uint32_t d : sweeps)
+                sc.sweeps.push_back(mapNode(d));
+            std::sort(sc.sweeps.begin(), sc.sweeps.end());
+            out.u32(static_cast<std::uint32_t>(sc.sweeps.size()));
+            for (std::uint32_t d : sc.sweeps)
                 out.u32(d);
             if (cfg.opt.crashBudget > 0)
                 out.u64(e->ctrs.crashes);
             out.u64(e->refsOutstanding);
 
-            return out.take();
+            out.finish();
         };
 
-    std::vector<NodeId> inv(n);
+    sc.inv.resize(n);
     for (unsigned j = 0; j < n; ++j)
-        inv[j] = static_cast<NodeId>(j);
-    std::vector<std::uint8_t> best = serializeUnder(inv);
+        sc.inv[j] = static_cast<NodeId>(j);
+    serializeUnder(sc.best);
 
     if (cfg.opt.symmetry && symEligible && n <= 5) {
-        while (std::next_permutation(inv.begin(), inv.end())) {
-            std::vector<std::uint8_t> cand = serializeUnder(inv);
-            if (cand < best)
-                best = std::move(cand);
+        while (std::next_permutation(sc.inv.begin(), sc.inv.end())) {
+            serializeUnder(sc.cand);
+            if (sc.cand.finish() < sc.best.finish())
+                std::swap(sc.cand, sc.best);
         }
     }
-    return best;
+    return sc.best.finish();
 }
 
 } // namespace mscp::verify

@@ -46,6 +46,7 @@
 
 #include "net/omega_network.hh"
 #include "proto/concurrent.hh"
+#include "verify/canon.hh"
 #include "verify/por.hh"
 #include "workload/ref_stream.hh"
 
@@ -269,9 +270,12 @@ class EngineGateway
      * absolute ticks dropped, per-space sequence/token/stamp values
      * rank-renumbered, LRU clocks reduced to per-set ranks, pending
      * messages grouped per stream, and (when enabled and eligible)
-     * the minimum over all cache-role permutations.
+     * the minimum over all cache-role permutations. The bytes live
+     * in the gateway's scratch storage: the reference stays valid
+     * until this gateway's next canonical() call, and once that
+     * storage is warm a call allocates nothing.
      */
-    std::vector<std::uint8_t> canonical() const;
+    const std::vector<std::uint8_t> &canonical() const;
 
     /**
      * Whether cache-role symmetry reduction is sound for this
@@ -364,6 +368,9 @@ class EngineGateway
     std::optional<Snapshot> root;
     /** save()/restore() slots. */
     std::vector<Snapshot> slots;
+    /** canonical()'s working storage and result; empty until the
+     *  first call. */
+    mutable CanonScratch canonScratch;
 };
 
 } // namespace mscp::verify

@@ -4,7 +4,9 @@
  * configs must exhaust (or stay within budget) with zero
  * violations, exploration must be deterministic, symmetry
  * reduction must shrink the state count without changing the
- * verdict, and replay must reproduce states exactly. The two known
+ * verdict, and replay must reproduce states exactly. Keying a state
+ * (canonical bytes plus their hash) must allocate nothing once warm,
+ * and the state hash is pinned on known answers. The two known
  * defects (ROADMAP items 1 and 2) are pinned as minimized golden
  * counterexamples.
  */
@@ -13,6 +15,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <new>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -29,6 +33,37 @@ using verify::EngineGateway;
 using verify::Explorer;
 using verify::ExploreResult;
 using verify::VerifyConfig;
+
+// Every allocation in this binary goes through this counter, so a
+// test can assert that a stretch of checker work allocated nothing.
+// The replacements stay out of line: inlined into a container's
+// destructor, their free() would meet a pointer GCC knows came from
+// operator new, and -Wmismatched-new-delete would fire.
+namespace
+{
+std::size_t allocations = 0;
+} // anonymous namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t sz)
+{
+    ++allocations;
+    if (void *p = std::malloc(sz ? sz : 1))
+        return p;
+    throw std::bad_alloc{};
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -634,6 +669,169 @@ TEST(Verify, SnapshotRestoreMatchesFreshReplay)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------
+// The state key every DFS computes per edge: canonical() serializes
+// into storage its gateway owns, and hashBytes reads it in place.
+// ---------------------------------------------------------------
+
+TEST(Verify, CanonicalAllocatesNothingOnceWarm)
+{
+    // One warm-up walk per config grows the gateway's scratch; after
+    // that, keying a state along seeded random walks must allocate
+    // nothing, under symmetry reduction too (its permutations
+    // serialize into a second buffer).
+    std::uint64_t rng = 0xca9;
+    auto next = [&rng](std::size_t n) {
+        std::uint64_t z = rng += 0x9e3779b97f4a7c15ull;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return static_cast<std::size_t>((z ^ (z >> 31)) % n);
+    };
+    const std::set<std::string> symmetric = {"A-dw", "A-gr", "D-timeout",
+                                             "E-crash"};
+    for (const VerifyConfig &cfg : sweepConfigs()) {
+        EngineGateway gw(cfg);
+        EXPECT_EQ(gw.symmetryEligible(), symmetric.count(cfg.name) > 0)
+            << cfg.name;
+        std::uint64_t keyed = 0;
+        for (unsigned walk = 0; walk <= 20; ++walk) {
+            gw.reset();
+            for (unsigned step = 0; step < 200; ++step) {
+                const std::size_t before = allocations;
+                const verify::Hash128 h = verify::hashBytes(gw.canonical());
+                const std::size_t spent = allocations - before;
+                if (walk > 0) {
+                    EXPECT_EQ(spent, 0u) << cfg.name << " walk " << walk
+                                         << " step " << step;
+                    ++keyed;
+                }
+                EXPECT_FALSE(h.lo == 0 && h.hi == 0);
+                std::vector<Action> acts = gw.enabledActions();
+                if (acts.empty())
+                    break;
+                gw.apply(acts[next(acts.size())]);
+            }
+            if (HasFailure())
+                return;
+        }
+        EXPECT_GT(keyed, 100u) << cfg.name;
+    }
+}
+
+namespace
+{
+
+/** @p hex as bytes. */
+std::vector<std::uint8_t>
+fromHex(const std::string &hex)
+{
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+        out.push_back(static_cast<std::uint8_t>(
+            std::stoul(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+/** B-3cpu's canonical state after ten last-enabled actions: 545
+ *  bytes (68 words and a one-byte tail). */
+const char *const b3cpuStateHex =
+    "0000000000000200000001000000000000000007000000000000000100000000"
+    "0000000008000000000000000000000000000000000000000003000000000100"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0100000000000000000000000000000000000001000000000000000000000002"
+    "00ffffffff040000000001000001000000000000000000000000000000000000"
+    "000000000000000000000100000001000000000000000201ffffffff04000000"
+    "0000010001000000000000000a00000000000000000000000000000000000000"
+    "0000000000010100000000000000ffffffff00000000000000ffffffff000000"
+    "0000000000000000000000000000000000000000000100000000000000000000"
+    "00000000000000000000000000000000000000000000ffffffff000000000000"
+    "0002000000000000000000000000000000000000000000000000000000000000"
+    "0000000000010000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000010a00000000000000000000000100000019000101000000000000000000"
+    "0000000000000000000001000000000000000000000000000000000000000100"
+    "000000000000010000ffffffff00000000000000000000000005000000000000"
+    "00";
+
+} // anonymous namespace
+
+TEST(Verify, StateHashKnownAnswers)
+{
+    // Pinned digests: a change to hashBytes moves the seen-set keys
+    // and verify_sweep's settled_digest, so it must be deliberate.
+    struct Kat
+    {
+        std::uint64_t lo, hi;
+    };
+    // Inputs 1, 2, ..., len for len = 0..17: empty, every tail
+    // length, one and two whole words.
+    const Kat prefixes[] = {
+        {0xa4d656a01bd817c6ull, 0x9a825437f13f443cull}, // 0
+        {0x319da4f168d38765ull, 0xe3bba9bd2d027c9full}, // 1
+        {0x5341db0bd1e82f7eull, 0xd32784e043033ec9ull}, // 2
+        {0x96ad4fa8e8230dfeull, 0x56771d92e5861009ull}, // 3
+        {0x6ae594960d50b8baull, 0xa1cffaa1493f5106ull}, // 4
+        {0x07ab70ebe9965c8aull, 0xcb5d9a925420c700ull}, // 5
+        {0x474554b2eb34ce26ull, 0xf7cd17ad57d9ba68ull}, // 6
+        {0x6ba56b1a2743ccd7ull, 0x26e0ecdaba0993b3ull}, // 7
+        {0xfdf983bd6c5e88bbull, 0x10fced59527036c2ull}, // 8
+        {0xb4087e01a852cce8ull, 0xcab4f40ec084d100ull}, // 9
+        {0xb7accc427ddfbbdaull, 0x59594abc33a6b192ull}, // 10
+        {0xb3f19fc8b5a48dd8ull, 0x3d850f63b13ee44aull}, // 11
+        {0x95af0c225504cfeaull, 0xa56ce9748e94b01full}, // 12
+        {0x43675af491f416b7ull, 0x8ff1f2034f9952f1ull}, // 13
+        {0x788f506cb8b23f6eull, 0x1f734453405fe5aaull}, // 14
+        {0xa6dc48ae6a7dce14ull, 0xe35d5f87e1c16b8cull}, // 15
+        {0x6a043dc67aa17b0full, 0x6c3653f33065f3f3ull}, // 16
+        {0x3585344a1e552fbaull, 0x1b96db64fe5782feull}, // 17
+    };
+    std::vector<std::vector<std::uint8_t>> inputs;
+    for (std::size_t len = 0; len < std::size(prefixes); ++len) {
+        std::vector<std::uint8_t> in;
+        for (std::size_t k = 0; k < len; ++k)
+            in.push_back(static_cast<std::uint8_t>(k + 1));
+        const verify::Hash128 h = verify::hashBytes(in);
+        EXPECT_EQ(h.lo, prefixes[len].lo) << "length " << len;
+        EXPECT_EQ(h.hi, prefixes[len].hi) << "length " << len;
+        inputs.push_back(std::move(in));
+    }
+    const std::vector<std::uint8_t> state = fromHex(b3cpuStateHex);
+    ASSERT_EQ(state.size(), 545u);
+    const verify::Hash128 sh = verify::hashBytes(state);
+    EXPECT_EQ(sh.lo, 0xc8a8f3885e792ec4ull);
+    EXPECT_EQ(sh.hi, 0x413da7b56ad4a13bull);
+    inputs.push_back(state);
+
+    // Every input, the same input with 1..16 trailing zero bytes and
+    // every single-bit flip of it hash to distinct values.
+    auto key = [](const std::vector<std::uint8_t> &b) {
+        const verify::Hash128 h = verify::hashBytes(b);
+        return std::make_pair(h.lo, h.hi);
+    };
+    for (const std::vector<std::uint8_t> &in : inputs) {
+        std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+        seen.insert(key(in));
+        std::vector<std::uint8_t> padded = in;
+        for (unsigned z = 1; z <= 16; ++z) {
+            padded.push_back(0);
+            EXPECT_TRUE(seen.insert(key(padded)).second)
+                << in.size() << " bytes + " << z << " zeros";
+        }
+        std::vector<std::uint8_t> flipped = in;
+        for (std::size_t bit = 0; bit < 8 * in.size(); ++bit) {
+            flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            EXPECT_TRUE(seen.insert(key(flipped)).second)
+                << in.size() << " bytes, bit " << bit << " flipped";
+            flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+    }
+    std::set<std::pair<std::uint64_t, std::uint64_t>> distinct;
+    for (const std::vector<std::uint8_t> &in : inputs)
+        distinct.insert(key(in));
+    EXPECT_EQ(distinct.size(), inputs.size());
 }
 
 // ---------------------------------------------------------------

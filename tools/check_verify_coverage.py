@@ -19,7 +19,9 @@ audit/liveness/refinement verdicts) to the path in
   or the checker changed and the baseline must be re-recorded on
   purpose. Edges and the digest pin more than the state counts do: a
   checker change that loses a field of the engine state can keep every
-  count and still reach different states.
+  count and still reach different states. The digest is defined over
+  the checker's state hash (``hashBytes`` in src/verify/canon.hh), so a
+  deliberate change of that hash re-records it too.
 
 Intentional changes are recorded with ``--update``, which rewrites the
 baseline from the current run; commit the result.  New configs absent
