@@ -12,9 +12,9 @@
 #define MSCP_MEM_BLOCK_STORE_HH
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/flat.hh"
 #include "sim/types.hh"
 
 namespace mscp::mem
@@ -31,15 +31,15 @@ class BlockStore
     NodeId
     owner(BlockId block) const
     {
-        auto it = map.find(block);
-        return it == map.end() ? invalidNode : it->second;
+        const NodeId *o = map.find(block);
+        return o ? *o : invalidNode;
     }
 
     /** @return true iff the block has a registered owner. */
     bool
     hasOwner(BlockId block) const
     {
-        return map.find(block) != map.end();
+        return map.contains(block);
     }
 
     /** Register or change the owner of @p block. */
@@ -59,6 +59,9 @@ class BlockStore
     /** Number of valid entries (for stats/tests). */
     std::size_t size() const { return map.size(); }
 
+    /** Make room for @p blocks registered owners. */
+    void reserve(std::size_t blocks) { map.reserve(blocks); }
+
     /**
      * All blocks registered to @p owner, sorted ascending so a
      * dead-owner sweep visits them in a deterministic order
@@ -68,15 +71,18 @@ class BlockStore
     ownedBy(NodeId owner) const
     {
         std::vector<BlockId> blocks;
-        for (const auto &[blk, own] : map)
+        map.forEach([&](BlockId blk, NodeId own) {
             if (own == owner)
                 blocks.push_back(blk);
+        });
         std::sort(blocks.begin(), blocks.end());
         return blocks;
     }
 
   private:
-    std::unordered_map<BlockId, NodeId> map;
+    /** Flat (two trivially copyable arrays), so copying a store
+     *  allocates nothing once the copy's arrays are as large. */
+    FlatMap<BlockId, NodeId> map;
 };
 
 } // namespace mscp::mem

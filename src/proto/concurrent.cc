@@ -56,14 +56,30 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
         }
     }
     unsigned n = network.numPorts();
-    cpus.reserve(n);
-    homes.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-        cpus.emplace_back(params.geometry, n);
-        homes.emplace_back(static_cast<NodeId>(i),
-                           params.geometry.blockWords);
-    }
-    deadNodes = DynamicBitset(n);
+    // Messages carry present vectors and block payloads inline.
+    panic_if(n > MsgMaxNodes,
+             "concurrent engine: %u ports exceed MsgMaxNodes (%u), "
+             "the inline message limit", n, MsgMaxNodes);
+    panic_if(params.geometry.blockWords > MsgMaxBlockWords,
+             "concurrent engine: %u-word blocks exceed "
+             "MsgMaxBlockWords (%u), the inline message limit",
+             params.geometry.blockWords, MsgMaxBlockWords);
+    CpuState cs;
+    cs.ackFrom = NodeSet(n);
+    cs.candidates = NodeSet(n);
+    cpus.assign(n, cs);
+    caches.reserve(n);
+    for (unsigned i = 0; i < n; ++i)
+        caches.emplace_back(params.geometry, n);
+    homes.assign(n, HomeState{});
+    // Room for a few marks per cpu: most lookups miss (no pending
+    // clear on the block), and at a low load a miss probes one or
+    // two slots.
+    marks.reserve(4 * std::size_t{n});
+    programs.resize(n);
+    mem = mem::MemoryModule(invalidNode, params.geometry.blockWords);
+    seqSeen.assign(std::size_t{n} * n, 0);
+    deadNodes = NodeSet(n);
 }
 
 const MetricsRegistry &
@@ -103,14 +119,13 @@ ConcurrentProtocol::metricsProbe()
     mx.set(mid.retries, ctrs.retries);
     mx.set(mid.timeouts, ctrs.timeouts);
     mx.set(mid.rebuilds, ctrs.rebuilds);
-    std::uint64_t entries = 0, busy = 0, recovering = 0;
+    std::uint64_t busy = 0, recovering = 0;
     for (const HomeState &h : homes) {
-        entries += h.mem.blockStore().size();
-        busy += h.busyToken.size();
-        recovering += h.recovering.size();
-        mx.sample(mid.homeOccupancy, h.busyToken.size());
+        busy += h.busyBlocks;
+        recovering += h.recoveringBlocks;
+        mx.sample(mid.homeOccupancy, h.busyBlocks);
     }
-    mx.set(mid.dirEntries, entries);
+    mx.set(mid.dirEntries, mem.blockStore().size());
     mx.set(mid.busyBlocks, busy);
     mx.set(mid.recoveringBlocks, recovering);
     const FaultCounters &fc = injector.counters();
@@ -125,7 +140,7 @@ ConcurrentProtocol::~ConcurrentProtocol() = default;
 cache::Entry *
 ConcurrentProtocol::findEntry(NodeId cpu, BlockId blk)
 {
-    return cpus[cpu].array.find(blk);
+    return caches[cpu].find(blk);
 }
 
 const std::vector<NodeId> &
@@ -177,8 +192,7 @@ ConcurrentProtocol::payloadBits(const Msg &m) const
         return params.sizes.ownerIdPayload(n);
       case MsgType::EvictDone:
       case MsgType::RecoveryAck:
-        return m.data.empty()
-            ? 0 : params.sizes.blockPayload(bw);
+        return m.words == 0 ? 0 : params.sizes.blockPayload(bw);
       case MsgType::DurableWrite:
         return params.sizes.wordBits;
       default:
@@ -187,19 +201,19 @@ ConcurrentProtocol::payloadBits(const Msg &m) const
 }
 
 std::uint32_t
-ConcurrentProtocol::allocSlot(Msg &&m)
+ConcurrentProtocol::allocSlot(const Msg &m)
 {
     if (freeSlot != NoSlot) {
         std::uint32_t slot = freeSlot;
         MsgSlot &s = msgSlab[slot];
         freeSlot = s.nextFree;
-        s.msg = std::move(m);
+        s.msg = m;
         s.refs = 0;
         return slot;
     }
     std::uint32_t slot = static_cast<std::uint32_t>(msgSlab.size());
     msgSlab.emplace_back();
-    msgSlab.back().msg = std::move(m);
+    msgSlab.back().msg = m;
     return slot;
 }
 
@@ -230,43 +244,93 @@ ConcurrentProtocol::adoptDeliveries(std::uint32_t slot)
 void
 ConcurrentProtocol::deliverSlot(std::uint32_t slot, NodeId dst)
 {
-    // deliver() can send further messages and grow the slab, so the
-    // message is taken out of the slot (moved on the last delivery,
-    // copied before that) before the handler runs.
+    // The handler reads the message in its slot: the slot stays
+    // live until the handler returns, and the slab's deque never
+    // moves it when handler sends grow the slab.
     MsgSlot &s = msgSlab[slot];
     s.msg.dst = dst;
-    if (s.refs <= 1) {
-        Msg local = std::move(s.msg);
+    deliver(s.msg);
+    if (--s.refs == 0)
         releaseSlot(slot);
-        deliver(local);
-    } else {
-        --s.refs;
-        Msg local = s.msg;
-        deliver(local);
-    }
 }
 
 void
-ConcurrentProtocol::vBuffer(Msg m)
+ConcurrentState::reserveTables(std::size_t blocks)
 {
+    const std::size_t n = cpus.size();
+    const std::size_t words = caches.front().geometry().blockWords;
+    vPending.reserve(64);
+    // One live request per (cpu, block); one outstanding write per
+    // cpu; one reconstruction per block.
+    parked.reserve(n * blocks);
+    pendingWrites.reserve(n);
+    recoveries.reserve(blocks);
+    suspecters.reserve(n * blocks);
+    vSweepPending.reserve(n);
+    mem.reserve(blocks);
+    homeBlocks.reserve(blocks);
+    lastCompleted.reserve(blocks * words);
+}
+
+std::uint64_t
+ConcurrentState::fingerprint(const Msg &m, bool src_is_mem)
+{
+    // FNV-1a over the full message content. Used to re-locate "the
+    // same" message in the pending buffer during counterexample
+    // replay; exploration itself never compares fingerprints across
+    // paths.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(static_cast<std::uint64_t>(m.type));
+    mix(m.src);
+    mix(m.dst);
+    mix(src_is_mem ? 1 : 0);
+    mix(m.toMemory ? 1 : 0);
+    mix(m.blk);
+    mix(m.requester);
+    mix(m.offset);
+    mix(m.value);
+    mix(m.seq);
+    mix(m.tok);
+    mix(m.flag ? 1 : 0);
+    mix(static_cast<std::uint64_t>(m.field.state));
+    mix(m.field.modified ? 1 : 0);
+    mix(m.field.owner);
+    for (std::size_t b = 0; b < m.field.present.size(); ++b)
+        mix(m.field.present.test(b) ? 1 : 0);
+    mix(m.words);
+    for (std::uint64_t w : m.payload())
+        mix(w);
+    return h;
+}
+
+void
+ConcurrentProtocol::vBuffer(const Msg &m)
+{
+    const std::uint64_t fp = fingerprint(m, vMemSend);
     if (vDedupSends) {
         for (const VerifyPending &p : vPending) {
-            if (p.srcIsMem == vMemSend && p.msg == m)
+            if (p.fp == fp && p.srcIsMem == vMemSend && p.msg == m)
                 return; // verbatim copy already in flight: fold
         }
     }
-    vPending.push_back({std::move(m), vMemSend});
+    vPending.push_back({m, vMemSend, fp});
 }
 
 void
-ConcurrentProtocol::scheduleLocal(Msg m, Tick delay)
+ConcurrentProtocol::scheduleLocal(const Msg &m, Tick delay)
 {
     if (vControlled) {
-        vBuffer(std::move(m));
+        vBuffer(m);
         return;
     }
     NodeId dst = m.dst;
-    std::uint32_t slot = allocSlot(std::move(m));
+    std::uint32_t slot = allocSlot(m);
     msgSlab[slot].refs = 1;
     auto deliver = [this, slot, dst] { deliverSlot(slot, dst); };
     static_assert(InlineFunction::fitsInline<decltype(deliver)>);
@@ -274,7 +338,7 @@ ConcurrentProtocol::scheduleLocal(Msg m, Tick delay)
 }
 
 void
-ConcurrentProtocol::send(Msg m)
+ConcurrentProtocol::send(const Msg &m)
 {
     Bits total = params.sizes.control() + payloadBits(m);
     msgs.record(m.type, total);
@@ -283,18 +347,18 @@ ConcurrentProtocol::send(Msg m)
     if (vControlled) {
         // Delivery order is the explorer's choice, not the
         // network's: park the message until an action picks it.
-        vBuffer(std::move(m));
+        vBuffer(m);
         return;
     }
     if (m.src == m.dst) {
         // Co-located processor-memory element: local exchange.
-        scheduleLocal(std::move(m), 1);
+        scheduleLocal(m, 1);
         return;
     }
     NodeId src = m.src;
     NodeId dst = m.dst;
     injector.setMessageClass(classOf(m.type), m.toMemory);
-    std::uint32_t slot = allocSlot(std::move(m));
+    std::uint32_t slot = allocSlot(m);
     timedNet.sendUnicast(src, dst, total,
                          [this, slot](NodeId d, Tick) {
                              deliverSlot(slot, d);
@@ -330,12 +394,12 @@ ConcurrentProtocol::sendMulticastMsg(MsgType t, NodeId src,
         for (NodeId d : dests) {
             Msg copy = proto_msg;
             copy.dst = d;
-            vBuffer(std::move(copy));
+            vBuffer(copy);
         }
         return;
     }
     injector.setMessageClass(classOf(t));
-    std::uint32_t slot = allocSlot(std::move(proto_msg));
+    std::uint32_t slot = allocSlot(proto_msg);
     timedNet.sendMulticast(
         params.multicastScheme, src, dests, total,
         [this, slot](NodeId dst, Tick) {
@@ -416,16 +480,15 @@ ConcurrentProtocol::handleCacheMsg(const Msg &m)
 void
 ConcurrentProtocol::handleMemMsg(const Msg &m)
 {
-    HomeState &h = homes[m.dst];
     switch (m.type) {
       case MsgType::SuspectOwner:
       case MsgType::RecoveryAck:
       case MsgType::DurableWrite:
-        handleHomeRecoveryMsg(h, m);
+        handleHomeRecoveryMsg(m);
         return;
       default:
         // Panics on a type no home handles.
-        handleHomeMsg(h, m);
+        handleHomeMsg(m);
         return;
     }
 }
@@ -437,21 +500,20 @@ ConcurrentProtocol::handleMemMsg(const Msg &m)
 void
 ConcurrentProtocol::monitorWritePending(Addr a, std::uint64_t v)
 {
-    pendingWrites[a].push_back(v);
+    pendingWrites.push_back({a, v});
 }
 
 void
 ConcurrentProtocol::monitorWriteComplete(Addr a, std::uint64_t v)
 {
     lastCompleted[a] = v;
-    // An emptied vector stays in the table, so the address's next
-    // write reuses its storage; empty reads the same as absent.
-    if (auto *pw = pendingWrites.find(a)) {
-        auto vi = std::find(pw->begin(), pw->end(), v);
-        if (vi != pw->end()) {
-            *vi = pw->back();
-            pw->pop_back();
-        }
+    auto pw = std::find_if(pendingWrites.begin(), pendingWrites.end(),
+                           [a, v](const PendingWrite &w) {
+                               return w.addr == a && w.value == v;
+                           });
+    if (pw != pendingWrites.end()) {
+        *pw = pendingWrites.back();
+        pendingWrites.pop_back();
     }
 }
 
@@ -462,8 +524,10 @@ ConcurrentProtocol::checkReadSample(Addr a, std::uint64_t v)
     std::uint64_t completed = lc ? *lc : 0;
     if (v == completed)
         return;
-    const auto *pw = pendingWrites.find(a);
-    if (pw && std::find(pw->begin(), pw->end(), v) != pw->end())
+    if (std::any_of(pendingWrites.begin(), pendingWrites.end(),
+                    [a, v](const PendingWrite &w) {
+                        return w.addr == a && w.value == v;
+                    }))
         return;
     ++_valueErrors;
     warn("concurrent: read @%llu sampled %llu (completed %llu, "
@@ -484,7 +548,7 @@ ConcurrentProtocol::run(workload::ReferenceStream &stream)
     std::uint64_t total = 0;
     while (stream.next(ref)) {
         panic_if(ref.cpu >= cpus.size(), "cpu out of range");
-        cpus[ref.cpu].queue.push_back(ref);
+        programs[ref.cpu].push_back(ref);
         ++total;
     }
     refsOutstanding = total;

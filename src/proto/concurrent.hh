@@ -37,9 +37,12 @@
 #ifndef MSCP_PROTO_CONCURRENT_HH
 #define MSCP_PROTO_CONCURRENT_HH
 
+#include <algorithm>
+#include <array>
 #include <deque>
-#include <map>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -212,13 +215,76 @@ struct ConcurrentRunResult
  * engine and restores it by copy-assigning it back (together with
  * the event queue's tick); a member added here is copied by
  * default. The rest of the engine is configuration (params, the
- * network), scratch, or never read by a controlled-mode action (the
- * timed network, fault injector, retry RNG, message slab, watchdog,
- * tracer, metrics and latency sink), so a snapshot leaves it out.
+ * network, the cpus' programs), scratch, or never read by a
+ * controlled-mode action (the timed network, fault injector, retry
+ * RNG, message slab, watchdog, tracer, metrics and latency sink), so
+ * a snapshot leaves it out.
+ *
+ * The state is a few flat arrays of trivially copyable records, so
+ * a copy is a few bulk copies that allocate nothing once the
+ * destination's arrays are as large (DESIGN.md 5g): per-cpu and
+ * per-home records, the cache arrays, one memory module holding
+ * every home's blocks, and block-keyed tables for what a home keeps
+ * per block. A block's home is homeOf(blk) = blk % homes.size().
  */
 class ConcurrentState
 {
+  public:
+    /**
+     * Reserve the variable-length tables for a model-checker run
+     * over @p blocks blocks: the bounds the cpu and block counts
+     * imply (parked requests, pending writes, reconstructions and
+     * their suspecters, sweeps, memory words and owners, per-block
+     * home records, completed words) and 64 in-flight messages.
+     * Copying a state into a reserved one allocates nothing unless
+     * the state outgrows it.
+     */
+    void reserveTables(std::size_t blocks);
+
   protected:
+    /** @{ inline message payload limits, checked when an engine is
+     *  built: one present bit per cache, one word per block word */
+    static constexpr unsigned MsgMaxNodes = 256;
+    static constexpr unsigned MsgMaxBlockWords = 4;
+    /** @} */
+
+    /** A set of caches, one bit per node id. */
+    using NodeSet = FixedBitset<MsgMaxNodes>;
+
+    /** A state field in flight: Table 1's field with its present
+     *  vector held inline. */
+    struct MsgField
+    {
+        cache::State state = cache::State::Invalid;
+        bool modified = false;
+        NodeId owner = invalidNode;
+        /** Empty (size 0) unless the message carries a state
+         *  transfer's present vector. */
+        NodeSet present;
+
+        /** Become a copy of @p f, present vector included. */
+        void
+        assign(const cache::StateField &f)
+        {
+            state = f.state;
+            modified = f.modified;
+            owner = f.owner;
+            present.assign(f.present);
+        }
+
+        /** Write this field into @p f, reusing its storage. */
+        void
+        copyTo(cache::StateField &f) const
+        {
+            f.state = state;
+            f.modified = modified;
+            f.owner = owner;
+            present.copyTo(f.present);
+        }
+
+        bool operator==(const MsgField &) const = default;
+    };
+
     /** A message in flight. */
     struct Msg
     {
@@ -247,12 +313,34 @@ class ConcurrentState
          */
         std::uint64_t tok = 0;
         bool flag = false;         ///< multi-purpose (e.g. modified)
-        cache::StateField field{}; ///< state transfers
-        std::vector<std::uint64_t> data{}; ///< block payloads
+        /** Block payload words in use (0: no payload). */
+        std::uint8_t words = 0;
+        MsgField field{};          ///< state transfers
+        /** Block payload; words past @c words stay zero, so the
+         *  defaulted == and the serializers see content only. */
+        std::array<std::uint64_t, MsgMaxBlockWords> data{};
+
+        /** Carry the block @p d as payload. */
+        void
+        setData(const std::vector<std::uint64_t> &d)
+        {
+            words = static_cast<std::uint8_t>(d.size());
+            std::copy(d.begin(), d.end(), data.begin());
+        }
+
+        /** The payload words in use. */
+        std::span<const std::uint64_t>
+        payload() const
+        {
+            return {data.data(), words};
+        }
 
         /** Field-wise; the checker's duplicate folding uses it. */
         bool operator==(const Msg &) const = default;
     };
+    // Sends, the slab, the retry copy and every snapshot copy a Msg
+    // as bytes; a heap-held member would allocate on each.
+    static_assert(std::is_trivially_copyable_v<Msg>);
 
     /** Phases of a processor's outstanding transaction. */
     enum class Phase : std::uint8_t
@@ -273,15 +361,12 @@ class ConcurrentState
         Commit,
     };
 
-    /** Per-cpu controller state. */
+    /** Per-cpu controller state (its cache array is caches[cpu]). */
     struct CpuState
     {
-        explicit CpuState(const cache::Geometry &g, unsigned n)
-            : array(g, n), ackFrom(n)
-        {}
-
-        cache::CacheArray array;
-        std::deque<workload::MemRef> queue;
+        /** Position of the cpu's next reference in its program
+         *  (ConcurrentProtocol::programs). */
+        std::size_t next = 0;
         bool active = false;
         workload::MemRef ref;
         Phase phase = Phase::Idle;
@@ -327,27 +412,14 @@ class ConcurrentState
         Tick evictStartTick = 0;
         /** @} */
         /** Caches expected to acknowledge (updates/invalidates). */
-        DynamicBitset ackFrom;
+        NodeSet ackFrom;
         /** Eviction context. */
         bool evicting = false;
         BlockId victimBlk = 0;
-        std::vector<NodeId> candidates;
+        /** Hand-off candidates: the victim's other present bits,
+         *  offered in ascending id order; candIdx counts offers. */
+        NodeSet candidates;
         std::size_t candIdx = 0;
-        /** Block pinned by the cpu's own transaction. */
-        FlatSet<BlockId> pinnedTx;
-        /** Blocks pinned by accepted ownership offers. */
-        FlatSet<BlockId> pinnedOffer;
-        /** Blocks with an unacknowledged PresentClear in flight;
-         *  reacquisition is deferred until the ack arrives. */
-        FlatSet<BlockId> clearPending;
-        /**
-         * Blocks this cpu's in-flight transaction touches that a
-         * recovery purge invalidated mid-transaction. A reply
-         * served before the reconstruction fence must not install
-         * pre-crash state: marked transactions restart from
-         * scratch instead (see the reply handlers).
-         */
-        FlatSet<BlockId> purged;
 
         /** @{ model-checker controlled mode (inert otherwise) */
         /** An accepted reply's completion awaits an explicit
@@ -362,75 +434,119 @@ class ConcurrentState
          *  observation will carry); set at the acceptance sites. */
         std::uint64_t vSample = 0;
         /** @} */
-
-        bool
-        isPinned(BlockId b) const
-        {
-            return pinnedTx.contains(b) || pinnedOffer.contains(b);
-        }
     };
 
-    /** One in-progress directory reconstruction at a home. */
+    /**
+     * Marks a cpu keeps on a block, in the one (cpu, block) table
+     * @c marks. The bit values are the canonical serializer's.
+     */
+    enum BlockMark : std::uint8_t
+    {
+        /** Pinned by the cpu's own transaction. */
+        PinnedTx = 1,
+        /** Pinned by an accepted ownership offer. */
+        PinnedOffer = 2,
+        /** An unacknowledged PresentClear is in flight;
+         *  reacquisition is deferred until the ack arrives. */
+        ClearPending = 4,
+        /**
+         * The cpu's in-flight transaction touches the block and a
+         * recovery purge invalidated it mid-transaction. A reply
+         * served before the reconstruction fence must not install
+         * pre-crash state: marked transactions restart from scratch
+         * instead (see the reply handlers).
+         */
+        Purged = 8,
+    };
+
+    /** Per-home-module counters (the home's blocks are kept in the
+     *  block-keyed tables below). */
+    struct HomeState
+    {
+        std::uint64_t busyTokenGen = 0;
+        /** Blocks with a busy period open. */
+        std::uint32_t busyBlocks = 0;
+        /** Blocks under a reconstruction fence. */
+        std::uint32_t recoveringBlocks = 0;
+    };
+
+    /** End of a parked-request list. */
+    static constexpr std::uint32_t NoParked = ~std::uint32_t{0};
+
+    /** A request parked behind its busy block. */
+    struct Parked
+    {
+        Msg msg;
+        /** The block's next parked request (arrival order), or the
+         *  next free slot; NoParked ends either list. */
+        std::uint32_t next = NoParked;
+    };
+
+    /** What a home keeps per block, besides memory words and the
+     *  block-store owner (those are in @c mem). */
+    struct HomeBlock
+    {
+        /** @{ robustness: busy matching */
+        /** Token of the block's busy period, 0 when not busy
+         *  (tokens start at 1); only the Unblock/EvictDone carrying
+         *  it releases the period. */
+        std::uint64_t busyToken = 0;
+        /** Requests parked behind the busy block, oldest first: a
+         *  list through @c parked from parkedHead to parkedTail. */
+        std::uint32_t parked = 0;
+        std::uint32_t parkedHead = NoParked;
+        std::uint32_t parkedTail = NoParked;
+        /** @} */
+        /** @{ crash recovery (set only under a CrashPlan) */
+        /** Node expected to release the busy period (invalidNode:
+         *  none); a dead releaser wedges the block and triggers
+         *  recovery. */
+        NodeId busyReleaser = invalidNode;
+        /** Tick the busy period was minted at. A period that
+         *  outlives every retry horizon is wedged even when its
+         *  anchors look alive (e.g. an ownership hand-off whose
+         *  transfer died with the acceptor) and is reconstructed. */
+        Tick busySince = 0;
+        /** Under an active reconstruction fence. */
+        bool recovering = false;
+        /** Rebuilt after a crash: served in GR mode, the safe
+         *  post-recovery mode (DESIGN.md 5f). */
+        bool recoveredGR = false;
+        /** Freshness stamp (send tick) of the last durable word
+         *  applied per block word, 0 if none; defeats in-flight
+         *  reordering. */
+        std::array<Tick, MsgMaxBlockWords> durableStamp{};
+        /** @} */
+    };
+
+    /** One in-progress directory reconstruction at a block's home;
+     *  its suspecters are in @c suspecters. */
     struct RecoveryCtx
     {
+        BlockId blk = 0;
         /** Live caches whose RecoveryAck is still outstanding. */
-        FlatSet<NodeId> pending;
-        /** Requesters whose accepted attempt died with the old
-         *  owner; each gets a RecoveryNack (restart hint) once the
-         *  block is rebuilt. */
-        std::vector<NodeId> suspecters;
+        NodeSet pending;
         /** Surviving owner's copy (authoritative if present). */
-        std::vector<std::uint64_t> data;
         bool haveData = false;
+        std::array<std::uint64_t, MsgMaxBlockWords> data{};
         /** Acks folded in (diagnostics/trace). */
         unsigned acks = 0;
     };
 
-    /** Per-home-module state. */
-    struct HomeState
+    /** A requester whose accepted attempt on @c blk died with the
+     *  old owner; it gets a RecoveryNack (restart hint) once the
+     *  block is rebuilt. */
+    struct Suspecter
     {
-        explicit HomeState(NodeId port, unsigned block_words)
-            : mem(port, block_words)
-        {}
+        BlockId blk = 0;
+        NodeId node = 0;
+    };
 
-        mem::MemoryModule mem;
-        /** Requests parked behind each busy block, oldest first.
-         *  A drained queue stays in the table with its storage, so
-         *  parking allocates nothing once a block has queued; an
-         *  empty queue reads the same as an absent one. */
-        FlatMap<BlockId, std::vector<Msg>> waiting;
-        /** @{ robustness: duplicate suppression + busy matching */
-        /** Highest request seq accepted per requester; lower or
-         *  equal arrivals are duplicates/superseded retries. */
-        FlatMap<NodeId, std::uint64_t> seqSeen;
-        /** Token of each busy block's busy period (the key set is
-         *  the set of busy blocks); only the Unblock/EvictDone
-         *  carrying it releases the period. */
-        FlatMap<BlockId, std::uint64_t> busyToken;
-        std::uint64_t busyTokenGen = 0;
-        /** @} */
-        /** @{ crash recovery (populated only under a CrashPlan;
-         *  std::map keeps iteration deterministic for the
-         *  dead-node sweeps) */
-        /** Node expected to release each busy period; a dead
-         *  releaser wedges the block and triggers recovery. */
-        std::map<BlockId, NodeId> busyReleaser;
-        /** Tick each busy period was minted at. A period that
-         *  outlives every retry horizon is wedged even when its
-         *  anchors look alive (e.g. an ownership hand-off whose
-         *  transfer died with the acceptor) and is reconstructed. */
-        std::map<BlockId, Tick> busySince;
-        /** Blocks under an active reconstruction fence. */
-        FlatSet<BlockId> recovering;
-        /** Per-block reconstruction progress. */
-        std::map<BlockId, RecoveryCtx> recoveryCtx;
-        /** Blocks rebuilt after a crash: served in GR mode, the
-         *  safe post-recovery mode (DESIGN.md 5f). */
-        FlatSet<BlockId> recoveredGR;
-        /** Freshness stamp (send tick) of the last durable word
-         *  applied per address; defeats in-flight reordering. */
-        FlatMap<Addr, Tick> durableStamp;
-        /** @} */
+    /** One pending write value of the linearizability monitor. */
+    struct PendingWrite
+    {
+        Addr addr = 0;
+        std::uint64_t value = 0;
     };
 
     /** A controlled-mode send awaiting its Deliver action. */
@@ -442,24 +558,127 @@ class ConcurrentState
          *  originate from either a cache or a home, and only
          *  cache-role node ids participate in symmetry reduction. */
         bool srcIsMem = false;
+        /** fingerprint(msg, srcIsMem), computed once when parked
+         *  (no handler edits a parked message). */
+        std::uint64_t fp = 0;
     };
+    // The state's records, copied wholesale by every snapshot.
+    static_assert(std::is_trivially_copyable_v<CpuState> &&
+                  std::is_trivially_copyable_v<Parked> &&
+                  std::is_trivially_copyable_v<HomeState> &&
+                  std::is_trivially_copyable_v<HomeBlock> &&
+                  std::is_trivially_copyable_v<RecoveryCtx> &&
+                  std::is_trivially_copyable_v<VerifyPending>);
+
+    /**
+     * Content fingerprint of a parked message (FNV-1a over every
+     * field): the Deliver action's identity, so a replay from a
+     * reset can re-locate "the same" message in the buffer.
+     */
+    static std::uint64_t fingerprint(const Msg &m, bool src_is_mem);
+
+    /** @{ the (cpu, block) mark table */
+    static std::uint64_t
+    markKey(NodeId cpu, BlockId blk)
+    {
+        panic_if(blk >> 56, "block %llu beyond the mark table's range",
+                 static_cast<unsigned long long>(blk));
+        return blk << 8 | cpu;
+    }
+    /** Whether @p cpu has any of @p mask's marks on @p blk. */
+    bool
+    marked(NodeId cpu, BlockId blk, std::uint8_t mask) const
+    {
+        const std::uint8_t *m = marks.find(markKey(cpu, blk));
+        return m && (*m & mask);
+    }
+    void
+    mark(NodeId cpu, BlockId blk, BlockMark b)
+    {
+        marks[markKey(cpu, blk)] |= b;
+    }
+    void
+    unmark(NodeId cpu, BlockId blk, BlockMark b)
+    {
+        const std::uint64_t key = markKey(cpu, blk);
+        if (std::uint8_t *m = marks.find(key)) {
+            *m &= static_cast<std::uint8_t>(~b);
+            if (!*m)
+                marks.erase(key);
+        }
+    }
+    bool
+    isPinned(NodeId cpu, BlockId blk) const
+    {
+        return marked(cpu, blk, PinnedTx | PinnedOffer);
+    }
+    /** Drop every mark of @p cpu (a crash). */
+    void
+    unmarkAll(NodeId cpu)
+    {
+        std::vector<std::uint64_t> keys;
+        marks.forEach([&](std::uint64_t key, std::uint8_t) {
+            if ((key & 0xff) == cpu)
+                keys.push_back(key);
+        });
+        for (std::uint64_t key : keys)
+            marks.erase(key);
+    }
+    /** Number of blocks @p cpu has mark @p b on (diagnostics). */
+    std::size_t
+    markCount(NodeId cpu, BlockMark b) const
+    {
+        std::size_t c = 0;
+        marks.forEach([&](std::uint64_t key, std::uint8_t m) {
+            if ((key & 0xff) == cpu && (m & b))
+                ++c;
+        });
+        return c;
+    }
+    /** @} */
 
     ConcurrentCounters ctrs;
     MessageCounters msgs;
 
     std::vector<CpuState> cpus;
+    /** caches[c]: cpu c's tags, state fields and data. */
+    std::vector<cache::CacheArray> caches;
     std::vector<HomeState> homes;
 
+    /**
+     * Every home's memory words and block store, in one block-keyed
+     * module (the blocks of home h are those with homeOf(blk) == h).
+     */
+    mem::MemoryModule mem;
+    /** Per-block home state of every block a home has served. */
+    FlatMap<BlockId, HomeBlock> homeBlocks;
+    /** Every home's parked requests, one list per block (see
+     *  HomeBlock), in slots reused through a free list from
+     *  parkedFree. */
+    std::vector<Parked> parked;
+    std::uint32_t parkedFree = NoParked;
+    /** seqSeen[h * cpus + c]: highest request seq home h accepted
+     *  from cpu c (0: none); lower or equal arrivals are
+     *  duplicates/superseded retries. */
+    std::vector<std::uint64_t> seqSeen;
+    /** @{ crash recovery (empty without a CrashPlan) */
+    std::vector<RecoveryCtx> recoveries;
+    /** Every reconstruction's suspecters, in arrival order. */
+    std::vector<Suspecter> suspecters;
+    /** @} */
+    /** BlockMark bits per (cpu, block); absent means none. */
+    FlatMap<std::uint64_t, std::uint8_t> marks;
+
     /** Caches currently crashed (sized to the node count). */
-    DynamicBitset deadNodes;
+    NodeSet deadNodes;
 
     /**
-     * Linearizability monitor state. The per-address pending-write
-     * multiset is a plain vector: a handful of values at most (one
-     * outstanding write per cpu), erased by swap-with-last.
+     * Linearizability monitor state. The pending-write multiset is
+     * a plain vector: a handful of values at most (one outstanding
+     * write per cpu), erased by swap-with-last.
      */
     FlatMap<Addr, std::uint64_t> lastCompleted;
-    FlatMap<Addr, std::vector<std::uint64_t>> pendingWrites;
+    std::vector<PendingWrite> pendingWrites;
     std::uint64_t _valueErrors = 0;
 
     /** @{ controlled mode (see ConcurrentProtocol::vControlled):
@@ -550,11 +769,15 @@ class ConcurrentProtocol : private ConcurrentState
     }
     const cache::CacheArray &cacheArray(NodeId c) const
     {
-        return cpus[c].array;
+        return caches[c];
     }
-    const mem::MemoryModule &memoryModule(unsigned i) const
+    /** The memory holding module @p i's blocks. The engine keeps
+     *  every module's words and block store in one block-keyed
+     *  module, so this is the same object for every @p i: look
+     *  blocks up by id. */
+    const mem::MemoryModule &memoryModule(unsigned) const
     {
-        return homes[i].mem;
+        return mem;
     }
     NodeId
     homeOf(BlockId blk) const
@@ -574,7 +797,7 @@ class ConcurrentProtocol : private ConcurrentState
         if (refsOutstanding != 0)
             return false;
         for (const HomeState &h : homes)
-            if (!h.busyToken.empty())
+            if (h.busyBlocks != 0)
                 return false;
         return true;
     }
@@ -613,7 +836,7 @@ class ConcurrentProtocol : private ConcurrentState
     // defines it (one per concern; map in DESIGN.md 5b).
 
     /** @{ message plumbing, dispatch and run loop (concurrent.cc) */
-    void send(Msg m);
+    void send(const Msg &m);
     void sendMulticastMsg(MsgType t, NodeId src,
                           const std::vector<NodeId> &dests,
                           Bits payload, BlockId blk, unsigned offset,
@@ -622,22 +845,29 @@ class ConcurrentProtocol : private ConcurrentState
     void sendAck(MsgType t, NodeId src, NodeId dst, BlockId blk,
                  std::uint64_t seq = 0);
     void deliver(const Msg &m);
+    /** Whether @p cpu's program has a reference left to issue. */
+    bool
+    hasNextRef(NodeId cpu) const
+    {
+        return cpus[cpu].next < programs[cpu].size();
+    }
     /** Route a delivery to its concern's handler. */
     void handleCacheMsg(const Msg &m);
     void handleMemMsg(const Msg &m);
     Bits payloadBits(const Msg &m) const;
-    std::uint32_t allocSlot(Msg &&m);
+    std::uint32_t allocSlot(const Msg &m);
     void releaseSlot(std::uint32_t slot);
     /** Refcount @p slot by the network's delivery tally. */
     void adoptDeliveries(std::uint32_t slot);
-    /** Deliver slot contents to @p dst; frees on last delivery. */
+    /** Deliver slot contents to @p dst in place; frees the slot
+     *  after its last delivery. */
     void deliverSlot(std::uint32_t slot, NodeId dst);
     /** Self/local delivery after @p delay ticks (no network). */
-    void scheduleLocal(Msg m, Tick delay);
+    void scheduleLocal(const Msg &m, Tick delay);
     /** Controlled-mode buffering (all sends funnel here when
      *  vControlled): parks the message in vPending, folding exact
      *  duplicates when vDedupSends is set. */
-    void vBuffer(Msg m);
+    void vBuffer(const Msg &m);
     Entry *findEntry(NodeId cpu, BlockId blk);
     /**
      * Present-vector members other than @p self, in a reusable
@@ -691,25 +921,43 @@ class ConcurrentProtocol : private ConcurrentState
                   bool clear_owner);
     /** Leave @p blk's present vector; reacquire only once acked. */
     void sendPresentClear(NodeId cpu, BlockId blk);
-    /** Tell @p field's other pointer holders @p owner owns @p blk. */
-    void announceOwner(NodeId from, const cache::StateField &field,
+    /** Tell the other pointer holders in @p present that @p owner
+     *  owns @p blk. */
+    void announceOwner(NodeId from, const DynamicBitset &present,
                        BlockId blk, NodeId owner);
+    /** The hand-off candidate @p cs is offering to now. */
+    static NodeId
+    candidate(const CpuState &cs)
+    {
+        return static_cast<NodeId>(cs.candidates.findNth(cs.candIdx));
+    }
     void expectAcks(CpuState &cs, const std::vector<NodeId> &from);
     /** Count one ack; the last completes the write or eviction. */
     void takeAck(NodeId cpu, NodeId from);
     void handleOwnershipMsg(const Msg &m);
     /** @} */
 
-    /** @{ home directory (concurrent_home.cc) */
-    void handleHomeMsg(HomeState &h, const Msg &m);
-    void processHomeRequest(HomeState &h, const Msg &m);
-    void drainHomeQueue(HomeState &h, BlockId blk);
+    /** @{ home directory (concurrent_home.cc); a block's home is
+     *  homeOf(blk), the dst of every message a home handles */
+    void handleHomeMsg(const Msg &m);
+    void processHomeRequest(const Msg &m);
+    /** Park @p m behind its busy block, oldest first. */
+    void park(const Msg &m);
+    /** The parked request of @p requester on @p blk, or nullptr. */
+    Msg *findParked(BlockId blk, NodeId requester);
+    void drainHomeQueue(BlockId blk);
+    /** Whether @p blk has a busy period open. */
+    bool
+    isBusy(BlockId blk) const
+    {
+        const HomeBlock *hb = homeBlocks.find(blk);
+        return hb && hb->busyToken != 0;
+    }
     /** Mint @p blk's busy period and return its token; a crash plan
      *  also records @p releaser (invalidNode: none) and its tick. */
-    std::uint64_t openBusy(HomeState &h, BlockId blk,
-                           NodeId releaser);
+    std::uint64_t openBusy(BlockId blk, NodeId releaser);
     /** End @p blk's busy period and serve what queued behind it. */
-    void closeBusy(HomeState &h, BlockId blk);
+    void closeBusy(BlockId blk);
     /** @} */
 
     /** @{ observability (concurrent.cc) */
@@ -787,23 +1035,28 @@ class ConcurrentProtocol : private ConcurrentState
     /** Stabilization sweep: reconstruct every block the dead node
      *  still anchors (store ownership or a wedged busy period). */
     void homeSweepDead(NodeId n);
-    void startRecovery(HomeState &h, BlockId blk, NodeId suspected);
-    void finishRecovery(HomeState &h, BlockId blk);
+    void startRecovery(BlockId blk, NodeId suspected);
+    void finishRecovery(BlockId blk);
+    /** @p blk's reconstruction, or nullptr if none is running. */
+    RecoveryCtx *findRecovery(BlockId blk);
     /** Restart a purge-marked transaction from scratch, releasing
      *  the busy period the discarded serve @p m may have held. */
     void restartPurgedTx(NodeId cpu, const Msg &m);
     /** Apply a durable word at its home unless a fresher stamp
      *  already landed for the same address. */
-    void applyDurableWord(HomeState &h, BlockId blk, unsigned off,
+    void applyDurableWord(BlockId blk, unsigned off,
                           std::uint64_t value, Tick stamp);
     /** Restart hint to @p r: the block it waited on was rebuilt. */
-    void sendRecoveryNack(HomeState &h, NodeId r, BlockId blk);
+    void sendRecoveryNack(NodeId r, BlockId blk);
     void handleRecoveryMsg(const Msg &m);
-    void handleHomeRecoveryMsg(HomeState &h, const Msg &m);
+    void handleHomeRecoveryMsg(const Msg &m);
     /** @} */
 
     ConcurrentParams params;
     net::OmegaNetwork &net;
+    /** Each cpu's reference stream in program order; only the
+     *  position (CpuState::next) is state. */
+    std::vector<std::vector<workload::MemRef>> programs;
     EventQueue eq;
     net::TimedNetwork timedNet;
     /** Delivery-fault injector (interposed on timedNet when the
@@ -833,8 +1086,9 @@ class ConcurrentProtocol : private ConcurrentState
     MetricsSampler msampler;
     /** @} */
 
-    /** In-flight message slab with an intrusive free list. */
-    std::vector<MsgSlot> msgSlab;
+    /** In-flight message slab with an intrusive free list. A deque,
+     *  so a slot stays put while the handler reading it sends. */
+    std::deque<MsgSlot> msgSlab;
     std::uint32_t freeSlot = NoSlot;
 
     /** Scratch lists (see othersPresent). */

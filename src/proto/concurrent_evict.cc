@@ -17,14 +17,15 @@ bool
 ConcurrentProtocol::allocateForMiss(NodeId cpu, BlockId blk)
 {
     CpuState &cs = cpus[cpu];
-    if (Entry *e = cs.array.find(blk)) {
-        cs.array.touch(*e);
-        cs.pinnedTx.insert(blk);
+    cache::CacheArray &ca = caches[cpu];
+    if (Entry *e = ca.find(blk)) {
+        ca.touch(*e);
+        mark(cpu, blk, PinnedTx);
         return true;
     }
-    Entry *victim = cs.array.pickVictimFiltered(
-        blk, [&cs](const Entry &e) {
-            return !cs.isPinned(e.block);
+    Entry *victim = ca.pickVictimFiltered(
+        blk, [this, cpu](const Entry &e) {
+            return !isPinned(cpu, e.block);
         });
     if (!victim) {
         // Every way pinned by in-flight work: retry shortly.
@@ -32,8 +33,8 @@ ConcurrentProtocol::allocateForMiss(NodeId cpu, BlockId blk)
         return false;
     }
     if (!victim->occupied) {
-        cs.array.install(*victim, blk);
-        cs.pinnedTx.insert(blk);
+        ca.install(*victim, blk);
+        mark(cpu, blk, PinnedTx);
         return true;
     }
 
@@ -46,10 +47,10 @@ ConcurrentProtocol::allocateForMiss(NodeId cpu, BlockId blk)
       case State::Invalid:
         // Fire-and-forget present-flag clear via the home.
         sendPresentClear(cpu, cs.victimBlk);
-        cs.array.evict(*victim);
+        ca.evict(*victim);
         cs.evicting = false;
-        cs.array.install(*cs.array.pickVictim(blk), blk);
-        cs.pinnedTx.insert(blk);
+        ca.install(*ca.pickVictim(blk), blk);
+        mark(cpu, blk, PinnedTx);
         return true;
       default:
         // Owned victim: serialize the eviction with the home.
@@ -99,7 +100,8 @@ ConcurrentProtocol::continueEviction(NodeId cpu)
       case State::OwnedNonExclDW:
       case State::OwnedNonExclGR:
         ++ctrs.handoffs;
-        cs.candidates = othersPresent(*ve, cpu);
+        cs.candidates.assign(ve->field.present);
+        cs.candidates.reset(cpu);
         cs.candIdx = 0;
         cs.phase = Phase::WaitOffer;
         sendNextOffer(cpu);
@@ -120,15 +122,15 @@ ConcurrentProtocol::sendNextOffer(NodeId cpu)
     Entry *ve = findEntry(cpu, cs.victimBlk);
     panic_if(!ve, "offer for a vanished victim");
 
+    const std::size_t ncand = cs.candidates.count();
     if (crashEnabled()) {
         // Never offer ownership to a dead node: the offer would
         // sink and the hand-off would spin on timeouts.
-        while (cs.candIdx < cs.candidates.size() &&
-               deadNodes.test(cs.candidates[cs.candIdx]))
+        while (cs.candIdx < ncand && deadNodes.test(candidate(cs)))
             ++cs.candIdx;
     }
 
-    if (cs.candIdx >= cs.candidates.size()) {
+    if (cs.candIdx >= ncand) {
         // Everyone declined: invalidate the remaining copies, then
         // write back and clear the block store (terminal rule).
         const auto &dests = othersPresent(*ve, cpu);
@@ -146,7 +148,7 @@ ConcurrentProtocol::sendNextOffer(NodeId cpu)
     }
 
     send({.type = MsgType::OfferOwner, .src = cpu,
-          .dst = cs.candidates[cs.candIdx], .blk = cs.victimBlk,
+          .dst = candidate(cs), .blk = cs.victimBlk,
           .requester = cpu});
     armTimeout(cpu);
 }
@@ -161,7 +163,7 @@ ConcurrentProtocol::finishEviction(NodeId cpu, bool clear_owner,
 
     Msg m = evictDone(cpu, cs.victimBlk, cs.evictToken, clear_owner);
     if (write_back) {
-        m.data = ve->data;
+        m.setData(ve->data);
         ++ctrs.writeBacks;
     }
     if (crashEnabled()) {
@@ -169,9 +171,9 @@ ConcurrentProtocol::finishEviction(NodeId cpu, bool clear_owner,
         // durable word at the home (see applyDurableWord).
         m.seq = eq.curTick();
     }
-    send(std::move(m));
+    send(m);
 
-    cs.array.evict(*ve);
+    caches[cpu].evict(*ve);
     endEviction(cpu);
     // Resume the original access from scratch.
     startAccess(cpu);
@@ -192,16 +194,15 @@ ConcurrentProtocol::sendPresentClear(NodeId cpu, BlockId blk)
     send({.type = MsgType::PresentClear, .src = cpu,
           .dst = homeOf(blk), .toMemory = true, .blk = blk,
           .requester = cpu});
-    cpus[cpu].clearPending.insert(blk);
+    mark(cpu, blk, ClearPending);
 }
 
 void
 ConcurrentProtocol::announceOwner(NodeId from,
-                                  const cache::StateField &field,
+                                  const DynamicBitset &p,
                                   BlockId blk, NodeId owner)
 {
     announceScratch.clear();
-    const DynamicBitset &p = field.present;
     for (std::size_t i = p.findFirst(); i < p.size();
          i = p.findNext(i)) {
         if (i != owner && i != from)
@@ -247,11 +248,12 @@ ConcurrentProtocol::handleOwnershipMsg(const Msg &m)
     switch (m.type) {
       case MsgType::Invalidate:
         if (e) {
-            bool pinned = cs.isPinned(m.blk);
-            cs.array.evict(*e);
+            cache::CacheArray &ca = caches[me];
+            bool pinned = isPinned(me, m.blk);
+            ca.evict(*e);
             if (pinned) {
                 // Keep a placeholder for the in-flight reply.
-                cs.array.install(*cs.array.pickVictim(m.blk), m.blk);
+                ca.install(*ca.pickVictim(m.blk), m.blk);
             }
         }
         sendAck(MsgType::InvalAck, me, m.src, m.blk);
@@ -286,7 +288,7 @@ ConcurrentProtocol::handleOwnershipMsg(const Msg &m)
         return;
 
       case MsgType::PresentClearAck:
-        cs.clearPending.erase(m.blk);
+        unmark(me, m.blk, ClearPending);
         return;
 
       case MsgType::OfferOwner: {
@@ -295,12 +297,12 @@ ConcurrentProtocol::handleOwnershipMsg(const Msg &m)
             // block for a transfer that can never come.
             return;
         }
-        bool acceptable = e && !cs.isPinned(m.blk) &&
+        bool acceptable = e && !isPinned(me, m.blk) &&
             (e->field.state == State::UnOwned ||
              (e->field.state == State::Invalid &&
               e->field.owner != invalidNode));
         if (acceptable)
-            cs.pinnedOffer.insert(m.blk); // reserved for transfer
+            mark(me, m.blk, PinnedOffer); // reserved for transfer
         sendAck(acceptable ? MsgType::OfferAck : MsgType::OfferNack,
                 me, m.src, m.blk);
         return;
@@ -310,7 +312,7 @@ ConcurrentProtocol::handleOwnershipMsg(const Msg &m)
       case MsgType::OfferNack: {
         if (cs.phase != Phase::WaitOffer || !cs.evicting ||
             m.blk != cs.victimBlk ||
-            m.src != cs.candidates[cs.candIdx]) {
+            m.src != candidate(cs)) {
             // A stale OfferAck leaves the offeree pinned for a
             // transfer that is not coming; only its own eviction
             // unpins it. Possible only under plans faulting control
@@ -330,23 +332,28 @@ ConcurrentProtocol::handleOwnershipMsg(const Msg &m)
         ++ctrs.ownershipTransfers;
 
         bool gr = cache::modeOf(ve->field.state) == Mode::GlobalRead;
-        cache::StateField field = ve->field;
-        field.present.reset(me); // we are leaving
-        field.owner = invalidNode;
-        field.state = gr ? State::OwnedNonExclGR
-                         : State::OwnedNonExclDW;
-        if (gr)
-            announceOwner(me, field, cs.victimBlk, m.src);
         // A hand-off, not a request reply (requester invalidNode):
         // the new owner releases the eviction's busy period with
         // the eviction's token.
-        send({.type = gr ? MsgType::StateCopyXfer : MsgType::StateXfer,
-              .src = me, .dst = m.src, .blk = cs.victimBlk,
-              .requester = invalidNode, .tok = cs.evictToken,
-              .flag = true, .field = field,
-              .data = gr ? ve->data : std::vector<std::uint64_t>{}});
+        Msg xfer{.type = gr ? MsgType::StateCopyXfer
+                            : MsgType::StateXfer,
+                 .src = me, .dst = m.src, .blk = cs.victimBlk,
+                 .requester = invalidNode, .tok = cs.evictToken,
+                 .flag = true};
+        xfer.field.assign(ve->field);
+        xfer.field.present.reset(me); // we are leaving
+        xfer.field.owner = invalidNode;
+        xfer.field.state = gr ? State::OwnedNonExclGR
+                              : State::OwnedNonExclDW;
+        if (gr) {
+            xfer.setData(ve->data);
+            // The announce skips the sender, so the entry's present
+            // vector (still naming us) lists the same holders.
+            announceOwner(me, ve->field.present, cs.victimBlk, m.src);
+        }
+        send(xfer);
 
-        cs.array.evict(*ve);
+        caches[me].evict(*ve);
         endEviction(me);
         startAccess(me);
         return;

@@ -133,7 +133,7 @@ ConcurrentProtocol::onTimeout(NodeId cpu, std::uint64_t seq)
             // would. A late Datum of the abandoned attempt is
             // absorbed by the stale-reply machinery.
             cs.pointerRetries = 2;
-            cs.pinnedTx.erase(params.geometry.blockOf(cs.ref.addr));
+            unmark(cpu, params.geometry.blockOf(cs.ref.addr), PinnedTx);
             cs.phase = Phase::Idle;
             cs.attempts = 0;
             startAccess(cpu);
@@ -194,8 +194,9 @@ ConcurrentProtocol::onTimeout(NodeId cpu, std::uint64_t seq)
         trace(TraceEvent::Retry, cpu, cpu,
               static_cast<std::uint8_t>(cs.phase), cs.opId,
               cs.attempts);
-        std::vector<NodeId> rest;
-        const DynamicBitset &a = cs.ackFrom;
+        std::vector<NodeId> &rest = presentScratch;
+        rest.clear();
+        const NodeSet &a = cs.ackFrom;
         for (std::size_t i = a.findFirst(); i < a.size();
              i = a.findNext(i)) {
             rest.push_back(static_cast<NodeId>(i));
@@ -279,7 +280,7 @@ ConcurrentProtocol::buildDeadlockReport(
             out += " none";
         std::size_t rec = 0;
         for (const HomeState &h : homes)
-            rec += h.recovering.size();
+            rec += h.recoveringBlocks;
         out += csprintf(" (reconstructions in flight: %zu)\n", rec);
     }
     for (NodeId c : dead) {
@@ -299,8 +300,8 @@ ConcurrentProtocol::buildDeadlockReport(
             static_cast<unsigned long long>(cs.txSeq),
             cs.evicting,
             static_cast<unsigned long long>(cs.victimBlk),
-            cs.pendingAcks, cs.pinnedTx.size(),
-            cs.pinnedOffer.size(), cs.clearPending.size());
+            cs.pendingAcks, markCount(c, PinnedTx),
+            markCount(c, PinnedOffer), markCount(c, ClearPending));
         const Entry *e = findEntry(c, blk);
         if (e) {
             out += csprintf(
@@ -311,16 +312,14 @@ ConcurrentProtocol::buildDeadlockReport(
         } else {
             out += "        entry: none\n";
         }
-        const HomeState &h = homes[homeOf(blk)];
-        const std::uint64_t *tok = h.busyToken.find(blk);
-        const std::vector<Msg> *q = h.waiting.find(blk);
+        const HomeBlock *hb = homeBlocks.find(blk);
+        const std::uint64_t tok = hb ? hb->busyToken : 0;
         out += csprintf(
-            "        home%u: busy=%d token=%llu queued=%zu "
+            "        home%u: busy=%d token=%llu queued=%u "
             "bsOwner=%u\n",
-            homeOf(blk), tok != nullptr,
-            static_cast<unsigned long long>(tok ? *tok : 0),
-            q ? q->size() : 0,
-            h.mem.blockStore().owner(blk));
+            homeOf(blk), tok != 0,
+            static_cast<unsigned long long>(tok),
+            hb ? hb->parked : 0, mem.blockStore().owner(blk));
         // Replay the last trace records touching this cpu: the
         // state snapshot says where the transaction is stuck, the
         // timeline says how it got there.

@@ -8,15 +8,18 @@
 
 #include "concurrent.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace mscp::proto
 {
 
 void
-ConcurrentProtocol::handleHomeMsg(HomeState &h, const Msg &m)
+ConcurrentProtocol::handleHomeMsg(const Msg &m)
 {
     BlockId blk = m.blk;
+    NodeId home = m.dst;
 
     switch (m.type) {
       case MsgType::LoadReq:
@@ -29,7 +32,8 @@ ConcurrentProtocol::handleHomeMsg(HomeState &h, const Msg &m)
         // so an older-or-equal arrival can only be an injected
         // duplicate, a timeout resend whose original got through,
         // or a superseded operation's late copy -- all safe to drop.
-        std::uint64_t &seen = h.seqSeen[m.requester];
+        std::uint64_t &seen =
+            seqSeen[std::size_t{home} * cpus.size() + m.requester];
         if (m.seq <= seen) {
             ++ctrs.dupRequests;
             trace(TraceEvent::HomeDup, m.dst, m.requester,
@@ -37,7 +41,7 @@ ConcurrentProtocol::handleHomeMsg(HomeState &h, const Msg &m)
             return;
         }
         seen = m.seq;
-        processHomeRequest(h, m);
+        processHomeRequest(m);
         return;
       }
 
@@ -48,50 +52,45 @@ ConcurrentProtocol::handleHomeMsg(HomeState &h, const Msg &m)
         // carry a dead token and must not unlock a later period. A
         // dead EvictDone's write-back or clear already happened:
         // touching memory again could clobber a newer owner's state.
-        const std::uint64_t *tok = h.busyToken.find(blk);
-        if (!tok || *tok != m.tok) {
+        if (!isBusy(blk) || homeBlocks.find(blk)->busyToken != m.tok) {
             ++ctrs.staleUnblocks;
             return;
         }
         if (m.type == MsgType::Unblock) {
             if (m.flag)
-                h.mem.blockStore().setOwner(blk, m.requester);
+                mem.blockStore().setOwner(blk, m.requester);
         } else {
-            if (!m.data.empty()) {
+            if (m.words != 0) {
                 if (crashEnabled()) {
                     // Respect per-word durable stamps: a write-back
                     // must not clobber a fresher durable word that
                     // raced past it.
-                    for (unsigned off = 0;
-                         off < static_cast<unsigned>(m.data.size());
-                         ++off)
-                        applyDurableWord(h, blk, off, m.data[off],
-                                         m.seq);
+                    for (unsigned off = 0; off < m.words; ++off)
+                        applyDurableWord(blk, off, m.data[off], m.seq);
                 } else {
-                    h.mem.writeBlock(blk, m.data);
+                    mem.writeBlock(blk, m.payload());
                 }
             }
             if (m.flag)
-                h.mem.blockStore().clear(blk);
+                mem.blockStore().clear(blk);
         }
-        closeBusy(h, blk);
+        closeBusy(blk);
         return;
       }
 
       case MsgType::PresentClear: {
-        NodeId owner = h.mem.blockStore().owner(blk);
+        NodeId owner = mem.blockStore().owner(blk);
         if (owner == invalidNode) {
             // Block fully evicted meanwhile: nothing to clear, but
             // the leaver still waits for its acknowledgement.
-            sendAck(MsgType::PresentClearAck, h.mem.port(),
-                    m.requester, blk);
+            sendAck(MsgType::PresentClearAck, home, m.requester, blk);
             return;
         }
         Msg fwd = m;
-        fwd.src = h.mem.port();
+        fwd.src = home;
         fwd.dst = owner;
         fwd.toMemory = false;
-        send(std::move(fwd));
+        send(fwd);
         return;
       }
 
@@ -112,9 +111,10 @@ ConcurrentProtocol::handleHomeMsg(HomeState &h, const Msg &m)
 }
 
 void
-ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
+ConcurrentProtocol::processHomeRequest(const Msg &m)
 {
     BlockId blk = m.blk;
+    NodeId home = homeOf(blk);
     if (crashEnabled() && deadNodes.test(m.requester)) {
         // The requester died with this request in flight (or
         // queued). Accepting it would mint a busy period nobody
@@ -123,25 +123,19 @@ ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
         // numbers, so nothing downstream expects this request.
         return;
     }
-    if (h.busyToken.contains(blk)) {
-        std::vector<Msg> &q = h.waiting[blk];
-        for (Msg &w : q) {
-            if (w.requester == m.requester) {
-                // A retry superseding its still-queued original (a
-                // cpu has one transaction, hence at most one live
-                // request per block): replace in place so the
-                // request is never served twice from the queue.
-                w = m;
-                ++ctrs.dupRequests;
-                trace(TraceEvent::HomeDup, m.dst, m.requester,
-                      static_cast<std::uint8_t>(m.type), m.seq, blk);
-                return;
-            }
+    if (isBusy(blk)) {
+        if (Msg *w = findParked(blk, m.requester)) {
+            // A retry superseding its still-queued original (a cpu
+            // has one transaction, hence at most one live request
+            // per block): replace in place so the request is never
+            // served twice from the queue.
+            *w = m;
+            ++ctrs.dupRequests;
+            trace(TraceEvent::HomeDup, m.dst, m.requester,
+                  static_cast<std::uint8_t>(m.type), m.seq, blk);
+            return;
         }
-        q.push_back(m);
-        ++ctrs.homeQueued;
-        trace(TraceEvent::HomeQueue, m.dst, m.requester,
-              static_cast<std::uint8_t>(m.type), m.seq, blk);
+        park(m);
         return;
     }
 
@@ -149,13 +143,13 @@ ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
           static_cast<std::uint8_t>(m.type), m.seq, blk);
 
     if (m.type == MsgType::EvictReq) {
-        std::uint64_t token = openBusy(h, blk, m.src);
-        send({.type = MsgType::EvictAck, .src = h.mem.port(),
-              .dst = m.src, .blk = blk, .seq = m.seq, .tok = token});
+        std::uint64_t token = openBusy(blk, m.src);
+        send({.type = MsgType::EvictAck, .src = home, .dst = m.src,
+              .blk = blk, .seq = m.seq, .tok = token});
         return;
     }
 
-    NodeId owner = h.mem.blockStore().owner(blk);
+    NodeId owner = mem.blockStore().owner(blk);
     NodeId r = m.requester;
 
     if (crashEnabled() && owner != invalidNode &&
@@ -164,11 +158,8 @@ ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
         // reconstruct the block instead of forwarding into the
         // void. (The stabilization sweep would get here anyway;
         // this reacts at first touch.)
-        h.waiting[blk].push_back(m);
-        ++ctrs.homeQueued;
-        trace(TraceEvent::HomeQueue, m.dst, m.requester,
-              static_cast<std::uint8_t>(m.type), m.seq, blk);
-        startRecovery(h, blk, owner);
+        park(m);
+        startRecovery(blk, owner);
         return;
     }
 
@@ -182,22 +173,25 @@ ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
         // pointing at a cache with no copy (the liveness checker
         // finds that dangling registration as a weakly fair
         // forward/suspect/restart cycle on the crash config).
-        std::uint64_t token = openBusy(h, blk, r);
+        std::uint64_t token = openBusy(blk, r);
         if (m.type == MsgType::LoadReq) {
             checkReadSample(params.geometry.baseOf(blk) + m.offset,
-                            h.mem.readWord(blk, m.offset));
+                            mem.readWord(blk, m.offset));
         }
         // The busy period is held until the requester unblocks.
-        Msg reply{.type = MsgType::DataBlock, .src = h.mem.port(),
-                  .dst = r, .blk = blk, .seq = m.seq, .tok = token,
-                  .flag = true, .data = h.mem.readBlock(blk)};
+        Msg reply{.type = MsgType::DataBlock, .src = home, .dst = r,
+                  .blk = blk, .seq = m.seq, .tok = token,
+                  .flag = true};
+        reply.words =
+            static_cast<std::uint8_t>(params.geometry.blockWords);
+        mem.readBlock(blk, {reply.data.data(), reply.words});
         // GR is the safe post-recovery mode: its owner never has
         // to trust pre-crash remote copies (DESIGN.md 5f).
         reply.field.state = cache::ownedState(
-            (crashEnabled() && h.recoveredGR.contains(blk))
+            (crashEnabled() && homeBlocks.find(blk)->recoveredGR)
                 ? Mode::GlobalRead : params.defaultMode,
             true);
-        send(std::move(reply));
+        send(reply);
         return;
     }
 
@@ -218,49 +212,96 @@ ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
       default:
         panic("unexpected home request %s", msgTypeName(m.type));
     }
-    std::uint64_t token = openBusy(h, blk, r);
-    send({.type = fwd, .src = h.mem.port(), .dst = owner, .blk = blk,
+    std::uint64_t token = openBusy(blk, r);
+    send({.type = fwd, .src = home, .dst = owner, .blk = blk,
           .requester = r, .offset = m.offset, .seq = m.seq,
           .tok = token, .flag = true});
 }
 
 void
-ConcurrentProtocol::drainHomeQueue(HomeState &h, BlockId blk)
+ConcurrentProtocol::park(const Msg &m)
 {
-    // Re-find after every request: processing can queue onto this
-    // block again and rehash the waiting table.
-    std::vector<Msg> *q = h.waiting.find(blk);
-    while (q && !q->empty() && !h.busyToken.contains(blk)) {
-        Msg m = std::move(q->front());
-        q->erase(q->begin());
-        processHomeRequest(h, m);
-        q = h.waiting.find(blk);
+    std::uint32_t slot = parkedFree;
+    if (slot != NoParked) {
+        parkedFree = parked[slot].next;
+        parked[slot] = {m, NoParked};
+    } else {
+        slot = static_cast<std::uint32_t>(parked.size());
+        parked.push_back({m, NoParked});
+    }
+    HomeBlock &hb = homeBlocks[m.blk];
+    if (hb.parkedTail != NoParked)
+        parked[hb.parkedTail].next = slot;
+    else
+        hb.parkedHead = slot;
+    hb.parkedTail = slot;
+    ++hb.parked;
+    ++ctrs.homeQueued;
+    trace(TraceEvent::HomeQueue, m.dst, m.requester,
+          static_cast<std::uint8_t>(m.type), m.seq, m.blk);
+}
+
+ConcurrentState::Msg *
+ConcurrentProtocol::findParked(BlockId blk, NodeId requester)
+{
+    const HomeBlock *hb = homeBlocks.find(blk);
+    for (std::uint32_t s = hb ? hb->parkedHead : NoParked;
+         s != NoParked; s = parked[s].next)
+        if (parked[s].msg.requester == requester)
+            return &parked[s].msg;
+    return nullptr;
+}
+
+void
+ConcurrentProtocol::drainHomeQueue(BlockId blk)
+{
+    // Re-check after every request: processing can park onto this
+    // block again or reopen its busy period.
+    while (true) {
+        HomeBlock *hb = homeBlocks.find(blk);
+        if (!hb || hb->parked == 0 || hb->busyToken != 0)
+            return;
+        const std::uint32_t slot = hb->parkedHead;
+        Msg m = parked[slot].msg;
+        hb->parkedHead = parked[slot].next;
+        if (hb->parkedHead == NoParked)
+            hb->parkedTail = NoParked;
+        --hb->parked;
+        parked[slot].next = parkedFree;
+        parkedFree = slot;
+        processHomeRequest(m);
     }
 }
 
 std::uint64_t
-ConcurrentProtocol::openBusy(HomeState &h, BlockId blk,
-                             NodeId releaser)
+ConcurrentProtocol::openBusy(BlockId blk, NodeId releaser)
 {
+    HomeState &h = homes[homeOf(blk)];
     std::uint64_t token = ++h.busyTokenGen;
-    h.busyToken[blk] = token;
+    HomeBlock &hb = homeBlocks[blk];
+    if (hb.busyToken == 0)
+        ++h.busyBlocks;
+    hb.busyToken = token;
     if (crashEnabled()) {
         if (releaser != invalidNode)
-            h.busyReleaser[blk] = releaser;
-        h.busySince[blk] = eq.curTick();
+            hb.busyReleaser = releaser;
+        hb.busySince = eq.curTick();
     }
     return token;
 }
 
 void
-ConcurrentProtocol::closeBusy(HomeState &h, BlockId blk)
+ConcurrentProtocol::closeBusy(BlockId blk)
 {
-    h.busyToken.erase(blk);
-    if (crashEnabled()) {
-        h.busyReleaser.erase(blk);
-        h.busySince.erase(blk);
+    if (HomeBlock *hb = homeBlocks.find(blk)) {
+        if (hb->busyToken != 0) {
+            hb->busyToken = 0;
+            --homes[homeOf(blk)].busyBlocks;
+        }
+        hb->busyReleaser = invalidNode;
+        hb->busySince = 0;
     }
-    drainHomeQueue(h, blk);
+    drainHomeQueue(blk);
 }
 
 } // namespace mscp::proto

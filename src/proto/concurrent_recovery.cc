@@ -28,12 +28,12 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
     // state fields, data, and whatever transaction it was running.
     CpuState &cs = cpus[n];
     disarmTimeout(n);
-    cs.array.reset();
+    caches[n].reset();
     std::uint64_t lost = cs.active ? 1 : 0;
     if (restart_tick == 0) {
         // Never coming back: its queued references are lost too.
-        lost += cs.queue.size();
-        cs.queue.clear();
+        lost += programs[n].size() - cs.next;
+        cs.next = programs[n].size();
     }
     cs.active = false;
     cs.phase = Phase::Idle;
@@ -44,10 +44,7 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
     cs.evicting = false;
     cs.candidates.clear();
     cs.candIdx = 0;
-    cs.pinnedTx.clear();
-    cs.pinnedOffer.clear();
-    cs.clearPending.clear();
-    cs.purged.clear();
+    unmarkAll(n);
     // seqGen/opGen deliberately survive: the homes' duplicate
     // filters are monotone, so a cold rejoin must not reuse
     // sequence numbers.
@@ -67,14 +64,15 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
         if (c == n || deadNodes.test(c))
             continue;
         CpuState &lc = cpus[c];
-        lc.array.forEachOccupied([&](Entry &e) {
+        cache::CacheArray &ca = caches[c];
+        ca.forEachOccupied([&](Entry &e) {
             if (cache::isOwned(e.field.state) &&
                 e.field.present.test(n)) {
                 e.field.present.reset(n);
                 maybeExclusive(e, c);
             } else if (e.field.state == State::Invalid &&
                        e.field.owner == n) {
-                lc.array.evict(e);
+                ca.evict(e);
             }
         });
         if ((lc.phase == Phase::WaitDwAcks ||
@@ -82,8 +80,8 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
             lc.ackFrom.test(n)) {
             takeAck(c, n);
         } else if (lc.phase == Phase::WaitOffer && lc.evicting &&
-                   lc.candIdx < lc.candidates.size() &&
-                   lc.candidates[lc.candIdx] == n) {
+                   lc.candIdx < lc.candidates.count() &&
+                   candidate(lc) == n) {
             ++ctrs.handoffNacks;
             ++lc.candIdx;
             sendNextOffer(c);
@@ -98,18 +96,20 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
     // finished reconstruction sends originate at homes.)
     bool saved_role = vMemSend;
     vMemSend = true;
-    for (HomeState &h : homes) {
-        std::vector<BlockId> done;
-        for (auto &[blk, ctx] : h.recoveryCtx) {
-            if (ctx.pending.contains(n)) {
-                ctx.pending.erase(n);
-                if (ctx.pending.empty())
-                    done.push_back(blk);
-            }
+    std::vector<BlockId> done;
+    for (RecoveryCtx &ctx : recoveries) {
+        if (ctx.pending.test(n)) {
+            ctx.pending.reset(n);
+            if (ctx.pending.none())
+                done.push_back(ctx.blk);
         }
-        for (BlockId blk : done)
-            finishRecovery(h, blk);
     }
+    // Home by home, each home's blocks in ascending order.
+    std::sort(done.begin(), done.end(), [this](BlockId a, BlockId b) {
+        return homeOf(a) != homeOf(b) ? homeOf(a) < homeOf(b) : a < b;
+    });
+    for (BlockId blk : done)
+        finishRecovery(blk);
     vMemSend = saved_role;
 
     // The homes sweep the dead node's ownerships one stabilization
@@ -148,57 +148,72 @@ ConcurrentProtocol::homeSweepDead(NodeId n)
     if (_aborted)
         return;
     // Runs even if the node already rejoined: it came back cold,
-    // so its pre-crash ownerships are orphaned either way.
-    for (HomeState &h : homes) {
-        for (BlockId blk : h.mem.blockStore().ownedBy(n))
-            startRecovery(h, blk, n);
+    // so its pre-crash ownerships are orphaned either way. Home by
+    // home, each home's blocks in ascending order.
+    const std::vector<BlockId> owned = mem.blockStore().ownedBy(n);
+    for (NodeId h = 0; h < homes.size(); ++h) {
+        for (BlockId blk : owned)
+            if (homeOf(blk) == h)
+                startRecovery(blk, n);
         std::vector<BlockId> stuck;
-        for (const auto &[blk, rel] : h.busyReleaser) {
-            if (rel == n)
+        homeBlocks.forEach([&](BlockId blk, const HomeBlock &hb) {
+            if (homeOf(blk) == h && hb.busyReleaser == n)
                 stuck.push_back(blk);
-        }
+        });
+        std::sort(stuck.begin(), stuck.end());
         for (BlockId blk : stuck)
-            startRecovery(h, blk, n);
+            startRecovery(blk, n);
     }
 }
 
-void
-ConcurrentProtocol::startRecovery(HomeState &h, BlockId blk,
-                                  NodeId suspected)
+ConcurrentState::RecoveryCtx *
+ConcurrentProtocol::findRecovery(BlockId blk)
 {
-    if (h.recovering.contains(blk))
+    for (RecoveryCtx &ctx : recoveries)
+        if (ctx.blk == blk)
+            return &ctx;
+    return nullptr;
+}
+
+void
+ConcurrentProtocol::startRecovery(BlockId blk, NodeId suspected)
+{
+    HomeBlock &hb = homeBlocks[blk];
+    if (hb.recovering)
         return;
-    h.recovering.insert(blk);
-    NodeId home = h.mem.port();
+    hb.recovering = true;
+    NodeId home = homeOf(blk);
+    ++homes[home].recoveringBlocks;
     trace(TraceEvent::Suspect, home, suspected, 0, blk, 0);
 
-    RecoveryCtx ctx;
     // Fence: usurp the busy period with a fresh token so anything
     // the wedged transaction still has in flight can no longer
     // commit here, and park new requests behind the busy period. A
     // live former releaser is remembered - it is stalled on a
     // serve that will never land and needs a restart hint. The
     // fence itself has no releaser.
-    auto rel = h.busyReleaser.find(blk);
-    if (rel != h.busyReleaser.end()) {
-        if (!deadNodes.test(rel->second))
-            ctx.suspecters.push_back(rel->second);
-        h.busyReleaser.erase(rel);
+    if (hb.busyReleaser != invalidNode) {
+        if (!deadNodes.test(hb.busyReleaser))
+            suspecters.push_back({blk, hb.busyReleaser});
+        hb.busyReleaser = invalidNode;
     }
-    openBusy(h, blk, invalidNode);
+    openBusy(blk, invalidNode);
 
     // Probe every live cache (including the home's own): each one
     // drops its copy / stale pointer and acknowledges; a surviving
     // owner ships its copy back.
+    RecoveryCtx ctx;
+    ctx.blk = blk;
+    ctx.pending = NodeSet(cpus.size());
     std::vector<NodeId> dests;
     for (NodeId c = 0; c < cpus.size(); ++c) {
         if (deadNodes.test(c))
             continue;
-        ctx.pending.insert(c);
+        ctx.pending.set(c);
         if (c != home)
             dests.push_back(c);
     }
-    h.recoveryCtx[blk] = std::move(ctx);
+    recoveries.push_back(ctx);
     sendMulticastMsg(MsgType::RecoveryPurge, home, dests, 0, blk,
                      0, 0, home);
     if (!deadNodes.test(home)) {
@@ -208,37 +223,41 @@ ConcurrentProtocol::startRecovery(HomeState &h, BlockId blk,
 }
 
 void
-ConcurrentProtocol::finishRecovery(HomeState &h, BlockId blk)
+ConcurrentProtocol::finishRecovery(BlockId blk)
 {
-    auto it = h.recoveryCtx.find(blk);
-    if (it == h.recoveryCtx.end())
+    RecoveryCtx *found = findRecovery(blk);
+    if (!found)
         return;
-    RecoveryCtx ctx = std::move(it->second);
-    h.recoveryCtx.erase(it);
+    RecoveryCtx ctx = *found;
+    recoveries.erase(recoveries.begin() + (found - recoveries.data()));
+    NodeId home = homeOf(blk);
 
     ++ctrs.rebuilds;
-    trace(TraceEvent::Rebuild, h.mem.port(), 0, 0, blk, ctx.acks);
+    trace(TraceEvent::Rebuild, home, 0, 0, blk, ctx.acks);
 
     if (ctx.haveData) {
         // A surviving owner's copy wins over memory, subject to
         // per-word durable stamps (a DurableWrite racing ahead of
         // the purge may carry a fresher word).
-        for (unsigned off = 0;
-             off < static_cast<unsigned>(ctx.data.size()); ++off)
-            applyDurableWord(h, blk, off, ctx.data[off],
-                             eq.curTick());
+        for (unsigned off = 0; off < params.geometry.blockWords; ++off)
+            applyDurableWord(blk, off, ctx.data[off], eq.curTick());
     }
 
     // Rebuild the directory root: no cached copies anywhere, so
     // the block store entry is simply cleared. The block re-enters
     // circulation in GR mode - the safe degraded mode, since a GR
     // owner never has to trust remote copies it did not create.
-    h.mem.blockStore().clear(blk);
-    h.recoveredGR.insert(blk);
-    h.recovering.erase(blk);
+    mem.blockStore().clear(blk);
+    HomeBlock &hb = homeBlocks[blk];
+    hb.recoveredGR = true;
+    if (hb.recovering) {
+        hb.recovering = false;
+        --homes[home].recoveringBlocks;
+    }
 
-    for (NodeId r : ctx.suspecters) {
-        if (deadNodes.test(r))
+    for (const Suspecter &s : suspecters) {
+        NodeId r = s.node;
+        if (s.blk != blk || deadNodes.test(r))
             continue;
         // A suspecter whose request queued behind the fence needs
         // no restart hint: the drain below serves that request at
@@ -246,17 +265,15 @@ ConcurrentProtocol::finishRecovery(HomeState &h, BlockId blk)
         // the restart against the serve - the serve would arrive
         // stale and be dropped while the block store already names
         // the suspecter as owner.
-        const std::vector<Msg> *q = h.waiting.find(blk);
-        if (q && std::any_of(q->begin(), q->end(),
-                             [r](const Msg &w) {
-                                 return w.requester == r;
-                             }))
+        if (findParked(blk, r))
             continue;
-        sendRecoveryNack(h, r, blk);
+        sendRecoveryNack(r, blk);
     }
+    std::erase_if(suspecters,
+                  [blk](const Suspecter &s) { return s.blk == blk; });
 
     // Release the fence and serve whatever queued behind it.
-    closeBusy(h, blk);
+    closeBusy(blk);
 }
 
 void
@@ -268,7 +285,7 @@ ConcurrentProtocol::restartPurgedTx(NodeId cpu, const Msg &m)
     // (stale) token back so the release is an explicit no-op at
     // the home rather than a leak.
     sendUnblock(cpu, m, cpu, false);
-    cs.purged.erase(m.blk);
+    unmark(cpu, m.blk, Purged);
     cs.attempts = 0;
     cs.pointerRetries = 0;
     cs.phase = Phase::Idle;
@@ -277,8 +294,7 @@ ConcurrentProtocol::restartPurgedTx(NodeId cpu, const Msg &m)
 }
 
 void
-ConcurrentProtocol::applyDurableWord(HomeState &h, BlockId blk,
-                                     unsigned off,
+ConcurrentProtocol::applyDurableWord(BlockId blk, unsigned off,
                                      std::uint64_t value,
                                      Tick stamp)
 {
@@ -286,20 +302,18 @@ ConcurrentProtocol::applyDurableWord(HomeState &h, BlockId blk,
     // are its local commit order; across an ownership transfer the
     // new owner's first write is sent after the transfer arrived,
     // hence after every stamp the old owner issued.
-    Addr a = params.geometry.baseOf(blk) + off;
-    Tick *s = h.durableStamp.find(a);
-    if (s && *s > stamp)
+    Tick &s = homeBlocks[blk].durableStamp[off];
+    if (s > stamp)
         return;
-    h.durableStamp[a] = stamp;
-    h.mem.writeWord(blk, off, value);
+    s = stamp;
+    mem.writeWord(blk, off, value);
 }
 
 void
-ConcurrentProtocol::sendRecoveryNack(HomeState &h, NodeId r,
-                                     BlockId blk)
+ConcurrentProtocol::sendRecoveryNack(NodeId r, BlockId blk)
 {
     ++ctrs.recoveryNacks;
-    send({.type = MsgType::RecoveryNack, .src = h.mem.port(),
+    send({.type = MsgType::RecoveryNack, .src = homeOf(blk),
           .dst = r, .blk = blk, .requester = r});
 }
 
@@ -324,12 +338,12 @@ ConcurrentProtocol::handleRecoveryMsg(const Msg &m)
         if (e) {
             if (cache::isOwned(e->field.state)) {
                 ack.flag = e->field.modified;
-                ack.data = e->data;
+                ack.setData(e->data);
             }
-            cs.array.evict(*e);
+            caches[me].evict(*e);
         }
-        cs.pinnedOffer.erase(m.blk);
-        cs.clearPending.erase(m.blk);
+        unmark(me, m.blk, PinnedOffer);
+        unmark(me, m.blk, ClearPending);
         if (cs.evicting && cs.victimBlk == m.blk) {
             // The victim vanished with the reconstruction: nothing
             // left to hand over. Abandon the eviction and re-run
@@ -339,7 +353,7 @@ ConcurrentProtocol::handleRecoveryMsg(const Msg &m)
             disarmTimeout(me);
             endEviction(me);
             cs.attempts = 0;
-            send(std::move(ack));
+            send(ack);
             startAccess(me);
             return;
         }
@@ -349,14 +363,14 @@ ConcurrentProtocol::handleRecoveryMsg(const Msg &m)
             // flight; mark the transaction so such a reply
             // restarts it instead of installing pre-crash state,
             // and keep a placeholder entry for it to land in.
-            cs.purged.insert(m.blk);
+            mark(me, m.blk, Purged);
             if (!findEntry(me, m.blk)) {
-                Entry *fresh = cs.array.pickVictim(m.blk);
+                Entry *fresh = caches[me].pickVictim(m.blk);
                 if (!fresh->occupied)
-                    cs.array.install(*fresh, m.blk);
+                    caches[me].install(*fresh, m.blk);
             }
         }
-        send(std::move(ack));
+        send(ack);
         return;
       }
 
@@ -392,7 +406,7 @@ ConcurrentProtocol::handleRecoveryMsg(const Msg &m)
 }
 
 void
-ConcurrentProtocol::handleHomeRecoveryMsg(HomeState &h, const Msg &m)
+ConcurrentProtocol::handleHomeRecoveryMsg(const Msg &m)
 {
     BlockId blk = m.blk;
 
@@ -400,15 +414,15 @@ ConcurrentProtocol::handleHomeRecoveryMsg(HomeState &h, const Msg &m)
       case MsgType::SuspectOwner: {
         if (!crashEnabled())
             return;
-        if (!h.recovering.contains(blk)) {
-            NodeId owner = h.mem.blockStore().owner(blk);
-            auto rel = h.busyReleaser.find(blk);
-            bool busy = h.busyToken.contains(blk);
+        const HomeBlock *hb = homeBlocks.find(blk);
+        if (!hb || !hb->recovering) {
+            NodeId owner = mem.blockStore().owner(blk);
+            NodeId rel = hb ? hb->busyReleaser : invalidNode;
+            bool busy = hb && hb->busyToken != 0;
             bool owner_dead =
                 owner != invalidNode && deadNodes.test(owner);
-            bool releaser_dead = busy &&
-                rel != h.busyReleaser.end() &&
-                deadNodes.test(rel->second);
+            bool releaser_dead = busy && rel != invalidNode &&
+                deadNodes.test(rel);
             if (!owner_dead && !releaser_dead) {
                 if (!busy) {
                     // Orphaned waiter: its request was consumed (so
@@ -417,7 +431,7 @@ ConcurrentProtocol::handleHomeRecoveryMsg(HomeState &h, const Msg &m)
                     // busy period there is no forward still in
                     // flight that a restart could orphan. Hand it a
                     // direct restart hint.
-                    sendRecoveryNack(h, m.requester, blk);
+                    sendRecoveryNack(m.requester, blk);
                     return;
                 }
                 // Busy with live anchors. A healthy busy period
@@ -431,46 +445,48 @@ ConcurrentProtocol::handleHomeRecoveryMsg(HomeState &h, const Msg &m)
                 // retry/stale machinery wins: restarting an
                 // attempt whose serve may still be in flight would
                 // orphan what that serve carries.
-                auto since = h.busySince.find(blk);
-                bool wedged = since != h.busySince.end() &&
-                    eq.curTick() - since->second >
-                        params.crashSuspectDelay;
+                bool wedged = eq.curTick() - hb->busySince >
+                    params.crashSuspectDelay;
                 if (!wedged) {
                     ++ctrs.staleReplies;
                     return;
                 }
             }
             ++ctrs.suspects;
-            startRecovery(h, blk,
-                          owner_dead ? owner
-                                     : rel != h.busyReleaser.end()
-                                           ? rel->second : owner);
+            startRecovery(blk, owner_dead ? owner
+                               : rel != invalidNode ? rel : owner);
         }
         // Remember the suspecter so it gets its restart hint when
         // the rebuild finishes.
-        RecoveryCtx &ctx = h.recoveryCtx[blk];
-        if (std::find(ctx.suspecters.begin(), ctx.suspecters.end(),
-                      m.requester) == ctx.suspecters.end())
-            ctx.suspecters.push_back(m.requester);
+        if (!findRecovery(blk)) {
+            RecoveryCtx ctx;
+            ctx.blk = blk;
+            ctx.pending = NodeSet(cpus.size());
+            recoveries.push_back(ctx);
+        }
+        if (std::none_of(suspecters.begin(), suspecters.end(),
+                         [&m](const Suspecter &s) {
+                             return s.blk == m.blk &&
+                                    s.node == m.requester;
+                         }))
+            suspecters.push_back({blk, m.requester});
         return;
       }
 
       case MsgType::RecoveryAck: {
-        auto it = h.recoveryCtx.find(blk);
-        if (it == h.recoveryCtx.end() ||
-            !it->second.pending.contains(m.requester))
+        RecoveryCtx *ctx = findRecovery(blk);
+        if (!ctx || !ctx->pending.test(m.requester))
             return; // duplicate or multicast-overshoot echo
-        RecoveryCtx &ctx = it->second;
-        ctx.pending.erase(m.requester);
-        ++ctx.acks;
-        if (!m.data.empty()) {
+        ctx->pending.reset(m.requester);
+        ++ctx->acks;
+        if (m.words != 0) {
             // At most one surviving cache can have held the block
             // owned; its copy is the authoritative one.
-            ctx.data = m.data;
-            ctx.haveData = true;
+            std::copy(m.data.begin(), m.data.end(), ctx->data.begin());
+            ctx->haveData = true;
         }
-        if (ctx.pending.empty())
-            finishRecovery(h, blk);
+        if (ctx->pending.none())
+            finishRecovery(blk);
         return;
       }
 
@@ -479,7 +495,7 @@ ConcurrentProtocol::handleHomeRecoveryMsg(HomeState &h, const Msg &m)
         // an owner crash cannot lose a committed write. The stamp
         // (send tick) keeps a delayed older word from overwriting
         // a newer one; ownership hand-offs order stamps causally.
-        applyDurableWord(h, blk, m.offset, m.value, m.seq);
+        applyDurableWord(blk, m.offset, m.value, m.seq);
         return;
 
       default:

@@ -40,11 +40,10 @@ void
 ConcurrentProtocol::issueNext(NodeId cpu)
 {
     CpuState &cs = cpus[cpu];
-    if (_aborted || cs.active || cs.queue.empty() ||
+    if (_aborted || cs.active || !hasNextRef(cpu) ||
         deadNodes.test(cpu))
         return;
-    cs.ref = cs.queue.front();
-    cs.queue.pop_front();
+    cs.ref = programs[cpu][cs.next++];
     cs.active = true;
     cs.issueTick = eq.curTick();
     cs.attempts = 0;
@@ -101,8 +100,8 @@ ConcurrentProtocol::completeRef(NodeId cpu)
                            cs.ref.addr,
                            cs.ref.isWrite ? cs.ref.value
                                           : cs.vSample});
-    cs.pinnedTx.erase(params.geometry.blockOf(cs.ref.addr));
-    cs.purged.erase(params.geometry.blockOf(cs.ref.addr));
+    unmark(cpu, params.geometry.blockOf(cs.ref.addr), PinnedTx);
+    unmark(cpu, params.geometry.blockOf(cs.ref.addr), Purged);
     cs.active = false;
     cs.phase = Phase::Idle;
     cs.vCommitPending = false;
@@ -131,7 +130,7 @@ ConcurrentProtocol::startAccess(NodeId cpu)
     BlockId blk = params.geometry.blockOf(cs.ref.addr);
     unsigned off = params.geometry.offsetOf(cs.ref.addr);
 
-    if (cs.clearPending.contains(blk)) {
+    if (marked(cpu, blk, ClearPending)) {
         // A PresentClear for this block is still in flight; do not
         // re-register at the owner until it is acknowledged (the
         // clear could bounce via a NACK re-forward and erase the
@@ -144,7 +143,7 @@ ConcurrentProtocol::startAccess(NodeId cpu)
     if (!cs.ref.isWrite) {
         if (e && cache::isValid(e->field.state)) {
             ++ctrs.readHits;
-            cs.array.touch(*e);
+            caches[cpu].touch(*e);
             cs.vSample = e->data[off];
             checkReadSample(cs.ref.addr, e->data[off]);
             cs.opClass = OpClass::ReadHit;
@@ -156,14 +155,14 @@ ConcurrentProtocol::startAccess(NodeId cpu)
             // OWNER-pointer bypass; may race and be NACKed. After
             // two races the transaction falls back to the home.
             ++ctrs.pointerReads;
-            cs.pinnedTx.insert(blk);
+            mark(cpu, blk, PinnedTx);
             cs.phase = Phase::WaitPointer;
             sendRequest(cpu, MsgType::LoadReq, blk, off,
                         e->field.owner);
             return;
         }
     } else if (e && cache::isValid(e->field.state)) {
-        cs.array.touch(*e);
+        caches[cpu].touch(*e);
         if (cache::isOwned(e->field.state)) {
             ++ctrs.writeHits;
             cs.opClass = OpClass::WriteHit;
@@ -172,7 +171,7 @@ ConcurrentProtocol::startAccess(NodeId cpu)
         }
         // UnOwned: acquire ownership through the home.
         cs.opClass = OpClass::Upgrade;
-        cs.pinnedTx.insert(blk);
+        mark(cpu, blk, PinnedTx);
         cs.phase = Phase::WaitOwnXfer;
         sendRequest(cpu, MsgType::OwnReq, blk);
         return;
@@ -215,7 +214,7 @@ ConcurrentProtocol::performOwnedWrite(NodeId cpu)
         if (!dests.empty()) {
             ++ctrs.dwUpdates;
             expectAcks(cs, dests);
-            cs.pinnedTx.insert(blk);
+            mark(cpu, blk, PinnedTx);
             cs.phase = Phase::WaitDwAcks;
             sendMulticastMsg(MsgType::DwUpdate, cpu, dests,
                              params.sizes.wordBits, blk, off,
@@ -336,7 +335,7 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
 #else
         ++cs.pointerRetries;
 #endif
-        cs.pinnedTx.erase(m.blk);
+        unmark(me, m.blk, PinnedTx);
         cs.phase = Phase::Idle;
         disarmTimeout(me);
         startAccess(me);
@@ -353,7 +352,7 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
             dropStaleReply(m);
             return;
         }
-        if (crashEnabled() && cs.purged.contains(m.blk)) {
+        if (crashEnabled() && marked(me, m.blk, Purged)) {
             // Served before the reconstruction fence: the value and
             // the owner hint predate the crash. Re-run the access
             // against the rebuilt directory.
@@ -372,7 +371,7 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
             // placeholder) while the request was in flight: the
             // owner registration is gone, so drop the stale hint
             // instead of resurrecting it.
-            cs.array.evict(*e);
+            caches[me].evict(*e);
         } else if (e) {
             e->field.owner = m.src;
         }
@@ -403,13 +402,13 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
              cs.phase == Phase::WaitPointer ||
              cs.phase == Phase::WaitOwnXfer) &&
             (!cs.ref.isWrite || grant);
-        if (mine && crashEnabled() && cs.purged.contains(m.blk)) {
+        if (mine && crashEnabled() && marked(me, m.blk, Purged)) {
             if (grant) {
                 // An owning grant comes straight from memory, and a
                 // fenced home serves nothing: this is the rebuilt
                 // block, not pre-crash state. Accept it and drop
                 // the restart marker.
-                cs.purged.erase(m.blk);
+                unmark(me, m.blk, Purged);
             } else {
                 // A non-owning copy could have been served before
                 // the fence; restart against the rebuilt directory.
@@ -422,7 +421,7 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
             return;
         }
         disarmTimeout(me);
-        e->data = m.data;
+        e->data.assign(m.payload().begin(), m.payload().end());
         e->field.state = m.field.state;
         if (grant) {
             // From memory: we are the (exclusive) owner now.
@@ -460,7 +459,7 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
             (cs.phase == Phase::WaitOwnXfer ||
              cs.phase == Phase::WaitHome);
         bool handoff = m.requester == invalidNode &&
-            cs.pinnedOffer.contains(m.blk);
+            marked(me, m.blk, PinnedOffer);
         if (!mine && !handoff) {
             // Duplicate of an accepted transfer. Mirror the unblock
             // the accepted copy sent (flag=true): the token is
@@ -471,7 +470,7 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
             sendUnblock(me, m, me, true);
             return;
         }
-        if (mine && crashEnabled() && cs.purged.contains(m.blk)) {
+        if (mine && crashEnabled() && marked(me, m.blk, Purged)) {
             // Unlike an owning DataBlock grant (memory only serves
             // those after the rebuild), a transfer comes from
             // another cache and can have been launched before the
@@ -490,7 +489,7 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
                  cache::stateName(e->field.state));
         if (mine)
             disarmTimeout(me);
-        e->field = m.field;
+        m.field.copyTo(e->field);
         e->field.owner = invalidNode;
         if (crashEnabled()) {
             // A transfer carries the old owner's present vector;
@@ -502,15 +501,15 @@ ConcurrentProtocol::handleRequestMsg(const Msg &m)
         panic_if(!e->field.present.test(me),
                  "transferred present vector misses the new owner");
         if (m.type == MsgType::StateCopyXfer)
-            e->data = m.data;
+            e->data.assign(m.payload().begin(), m.payload().end());
         maybeExclusive(*e, me);
-        cs.array.touch(*e);
+        caches[me].touch(*e);
         sendUnblock(me, m, me, true); // record the ownership change
         if (mine) {
             performOwnedWrite(me);
         } else {
             // Accepted hand-off: unpin the offer.
-            cs.pinnedOffer.erase(m.blk);
+            unmark(me, m.blk, PinnedOffer);
         }
         return;
       }
@@ -610,21 +609,23 @@ ConcurrentProtocol::serveForward(const Msg &m)
     bool requester_has_copy = e->field.present.test(r);
     e->field.present.set(r);
 
-    cache::StateField field = e->field;
-    field.owner = invalidNode;
     bool send_copy = (m.type == MsgType::LoadOwnFwd) ||
         mode == Mode::GlobalRead || !requester_has_copy;
-    field.state = (mode == Mode::DistributedWrite)
-        ? State::OwnedNonExclDW : State::OwnedNonExclGR;
     // requester = r marks this as the requester's own reply.
-    send({.type = send_copy ? MsgType::StateCopyXfer
-                            : MsgType::StateXfer,
-          .src = me, .dst = r, .blk = m.blk, .requester = r,
-          .seq = m.seq, .tok = m.tok, .flag = m.flag, .field = field,
-          .data = send_copy ? e->data : std::vector<std::uint64_t>{}});
+    Msg xfer{.type = send_copy ? MsgType::StateCopyXfer
+                               : MsgType::StateXfer,
+             .src = me, .dst = r, .blk = m.blk, .requester = r,
+             .seq = m.seq, .tok = m.tok, .flag = m.flag};
+    xfer.field.assign(e->field);
+    xfer.field.owner = invalidNode;
+    xfer.field.state = (mode == Mode::DistributedWrite)
+        ? State::OwnedNonExclDW : State::OwnedNonExclGR;
+    if (send_copy)
+        xfer.setData(e->data);
+    send(xfer);
 
     if (mode == Mode::GlobalRead) {
-        announceOwner(me, field, m.blk, r);
+        announceOwner(me, e->field.present, m.blk, r);
         e->field.state = State::Invalid;
         e->field.owner = r;
     } else {
@@ -647,13 +648,13 @@ ConcurrentProtocol::serveRead(NodeId me, Entry &e, const Msg &m)
         e.field.state = State::OwnedNonExclDW;
         reply.type = MsgType::DataBlock;
         reply.field.state = State::UnOwned;
-        reply.data = e.data;
+        reply.setData(e.data);
     } else {
         e.field.state = State::OwnedNonExclGR;
         reply.offset = m.offset;
         reply.value = e.data[m.offset];
     }
-    send(std::move(reply));
+    send(reply);
     // The served value is this read's linearization point.
     checkReadSample(params.geometry.baseOf(m.blk) + m.offset,
                     e.data[m.offset]);
@@ -679,8 +680,7 @@ ConcurrentProtocol::dropStaleReply(const Msg &m)
     // release (a no-op there if the accepted copy already sent it
     // - the token is single-use).
     sendUnblock(me, m, me, false);
-    if (!findEntry(me, m.blk) &&
-        !cpus[me].clearPending.contains(m.blk)) {
+    if (!findEntry(me, m.blk) && !marked(me, m.blk, ClearPending)) {
         // The serve registered us in the owner's present vector but
         // we keep no entry: deregister, or the directory invariants
         // break at quiescence.

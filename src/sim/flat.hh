@@ -1,12 +1,12 @@
 /**
  * @file
- * Flat hash containers for simulator hot paths.
+ * Flat hash map for simulator hot paths.
  *
  * The protocol engines used to keep per-block bookkeeping in
  * std::set / std::map, paying a node allocation plus pointer chase
- * per insert and lookup. These replacements use open addressing over
- * a single power-of-two array (linear probing, Fibonacci hashing) so
- * the steady state performs no allocation at all.
+ * per insert and lookup. FlatMap uses open addressing over a single
+ * power-of-two array (linear probing, Fibonacci hashing) so the
+ * steady state performs no allocation at all.
  *
  * Keys are integral. One key value must be reserved as the empty
  * marker (defaults to the all-ones value, which BlockId/Addr/NodeId
@@ -45,136 +45,21 @@ fibHash(std::uint64_t key)
 } // namespace detail
 
 /**
- * Open-addressing hash set of integral keys.
- *
- * @tparam K integral key type
- * @tparam Empty key value reserved as the empty slot marker
- */
-template <typename K,
-          K Empty = std::numeric_limits<K>::max()>
-class FlatSet
-{
-  public:
-    FlatSet() { rehash(MinCapacity); }
-
-    std::size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-
-    bool
-    contains(K key) const
-    {
-        panic_if(key == Empty, "FlatSet key equals empty marker");
-        std::size_t i = slotOf(key);
-        while (slots[i] != Empty) {
-            if (slots[i] == key)
-                return true;
-            i = (i + 1) & mask;
-        }
-        return false;
-    }
-
-    /** @return true if the key was newly inserted. */
-    bool
-    insert(K key)
-    {
-        panic_if(key == Empty, "FlatSet key equals empty marker");
-        if ((count + 1) * 4 > capacity() * 3)
-            rehash(capacity() * 2);
-        std::size_t i = slotOf(key);
-        while (slots[i] != Empty) {
-            if (slots[i] == key)
-                return false;
-            i = (i + 1) & mask;
-        }
-        slots[i] = key;
-        ++count;
-        return true;
-    }
-
-    /** @return true if the key was present and removed. */
-    bool
-    erase(K key)
-    {
-        panic_if(key == Empty, "FlatSet key equals empty marker");
-        std::size_t i = slotOf(key);
-        while (slots[i] != key) {
-            if (slots[i] == Empty)
-                return false;
-            i = (i + 1) & mask;
-        }
-        removeAt(i);
-        --count;
-        return true;
-    }
-
-    void
-    clear()
-    {
-        std::fill(slots.begin(), slots.end(), Empty);
-        count = 0;
-    }
-
-  private:
-    static constexpr std::size_t MinCapacity = 16;
-
-    std::size_t capacity() const { return slots.size(); }
-    std::size_t slotOf(K key) const
-    {
-        return detail::fibHash(static_cast<std::uint64_t>(key)) &
-            mask;
-    }
-
-    /** Backward-shift deletion keeps probe chains intact. */
-    void
-    removeAt(std::size_t i)
-    {
-        std::size_t j = i;
-        while (true) {
-            j = (j + 1) & mask;
-            if (slots[j] == Empty)
-                break;
-            std::size_t home = slotOf(slots[j]);
-            // Can slots[j] legally move into the hole at i?
-            if (((j - home) & mask) >= ((j - i) & mask)) {
-                slots[i] = slots[j];
-                i = j;
-            }
-        }
-        slots[i] = Empty;
-    }
-
-    void
-    rehash(std::size_t new_cap)
-    {
-        std::vector<K> old = std::move(slots);
-        slots.assign(new_cap, Empty);
-        mask = new_cap - 1;
-        for (K key : old) {
-            if (key == Empty)
-                continue;
-            std::size_t i = slotOf(key);
-            while (slots[i] != Empty)
-                i = (i + 1) & mask;
-            slots[i] = key;
-        }
-    }
-
-    std::vector<K> slots;
-    std::size_t mask = 0;
-    std::size_t count = 0;
-};
-
-/**
  * Open-addressing hash map from an integral key to an arbitrary
- * mapped value. Same design as FlatSet; the mapped values live in a
- * parallel array so erase/rehash move them with the keys.
+ * mapped value: linear probing, Fibonacci hashing and
+ * backward-shift deletion over one power-of-two key array, with the
+ * mapped values in a parallel array so erase/rehash move them with
+ * the keys. With trivially copyable keys and values, copying a map
+ * is two bulk copies.
  */
 template <typename K, typename V,
           K Empty = std::numeric_limits<K>::max()>
 class FlatMap
 {
   public:
-    FlatMap() { rehash(MinCapacity); }
+    /** An empty map; its arrays are allocated by the first insert,
+     *  so an engine's many never-used maps cost nothing. */
+    FlatMap() = default;
 
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
@@ -202,7 +87,7 @@ class FlatMap
     {
         panic_if(key == Empty, "FlatMap key equals empty marker");
         if ((count + 1) * 4 > capacity() * 3)
-            rehash(capacity() * 2);
+            rehash(capacity() ? capacity() * 2 : MinCapacity);
         std::size_t i = slotOf(key);
         while (keys[i] != Empty) {
             if (keys[i] == key)
@@ -213,6 +98,17 @@ class FlatMap
         vals[i] = V{};
         ++count;
         return vals[i];
+    }
+
+    /** Grow to hold @p n entries without rehashing. */
+    void
+    reserve(std::size_t n)
+    {
+        std::size_t cap = capacity() ? capacity() : MinCapacity;
+        while (n * 4 > cap * 3)
+            cap *= 2;
+        if (cap != capacity())
+            rehash(cap);
     }
 
     bool
@@ -235,8 +131,27 @@ class FlatMap
         count = 0;
     }
 
+    /** Call @p fn(key, value) for every entry, in unspecified order
+     *  (sort what must not depend on it). @p fn must not insert or
+     *  erase. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            if (keys[i] != Empty)
+                fn(keys[i], vals[i]);
+    }
+
   private:
-    static constexpr std::size_t MinCapacity = 16;
+    /** First arrays of 8 slots: at most 64 bytes each, which malloc
+     *  serves from its fast bins. Engines built and destroyed by the
+     *  hundred (paper-grid) then never free a chunk that coalesces
+     *  into the heap top; with 16 slots (128-byte arrays) those
+     *  frees let glibc hand the heap back to the OS after every
+     *  set-up, and perfbench paper-grid's set-up page-faulted again
+     *  each time and took twice as long. */
+    static constexpr std::size_t MinCapacity = 8;
     static constexpr std::size_t npos =
         std::numeric_limits<std::size_t>::max();
 
@@ -251,6 +166,8 @@ class FlatMap
     findSlot(K key) const
     {
         panic_if(key == Empty, "FlatMap key equals empty marker");
+        if (count == 0)
+            return npos;
         std::size_t i = slotOf(key);
         while (keys[i] != Empty) {
             if (keys[i] == key)

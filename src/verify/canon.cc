@@ -166,7 +166,6 @@ EngineGateway::canonical() const
     // ------------------------------------------------------------
     RankSpaces &ranks = sc.ranks;
     ranks.clear();
-    sc.seen.resize(std::size_t{n} * n);
     using enum RankKind;
 
     auto noteMsg = [&](const Msg &m) {
@@ -201,27 +200,24 @@ EngineGateway::canonical() const
             ranks.note(HomeToken, homeOfBlk(cs.victimBlk),
                        cs.evictToken);
     }
+    // Unset values (token, stamp or seq 0) are never noted.
     for (unsigned h = 0; h < n; ++h) {
-        const auto &hs = e->homes[h];
         for (BlockId blk = h; blk < nb; blk += n) {
-            if (const std::uint64_t *t = hs.busyToken.find(blk))
-                ranks.note(HomeToken, h, *t);
-            if (const auto *q = hs.waiting.find(blk))
-                for (const Msg &m : *q)
-                    noteMsg(m);
-            for (unsigned off = 0; off < bw; ++off) {
-                Addr a = static_cast<Addr>(blk) * bw + off;
-                if (const Tick *st = hs.durableStamp.find(a))
-                    ranks.note(HomeStamp, h, *st);
-            }
+            const auto *hb = e->homeBlocks.find(blk);
+            if (!hb)
+                continue;
+            ranks.note(HomeToken, h, hb->busyToken);
+            for (unsigned off = 0; off < bw; ++off)
+                ranks.note(HomeStamp, h, hb->durableStamp[off]);
         }
-        for (unsigned c = 0; c < n; ++c) {
-            const std::uint64_t *s = hs.seqSeen.find(c);
-            sc.seen[h * n + c] = s;
-            if (s)
-                ranks.note(CpuSeq, c, *s);
-        }
+        for (unsigned c = 0; c < n; ++c)
+            ranks.note(CpuSeq, c, e->seqSeen[h * n + c]);
     }
+    for (BlockId blk = 0; blk < nb; ++blk)
+        if (const auto *hb = e->homeBlocks.find(blk))
+            for (std::uint32_t s = hb->parkedHead; s != Engine::NoParked;
+                 s = e->parked[s].next)
+                noteMsg(e->parked[s].msg);
     for (const auto &p : e->vPending)
         noteMsg(p.msg);
 
@@ -249,7 +245,7 @@ EngineGateway::canonical() const
 
             // The writers take the sink as a parameter: captured, it
             // would be reloaded after every byte store.
-            auto writeBits = [&](ByteSink &o, const DynamicBitset &bits) {
+            auto writeBits = [&](ByteSink &o, const auto &bits) {
                 o.u32(static_cast<std::uint32_t>(bits.size()));
                 for (unsigned j = 0; j < n && j < bits.size(); ++j)
                     o.u8(bits.test(inv[j]) ? 1 : 0);
@@ -298,8 +294,8 @@ EngineGateway::canonical() const
                 o.u8(m.field.modified ? 1 : 0);
                 o.u32(mapNode(m.field.owner));
                 writeBits(o, m.field.present);
-                o.u32(static_cast<std::uint32_t>(m.data.size()));
-                for (std::uint64_t w : m.data)
+                o.u32(m.words);
+                for (std::uint64_t w : m.payload())
                     o.u64(w);
             };
 
@@ -334,10 +330,11 @@ EngineGateway::canonical() const
                     if (timeouts)
                         writeMsg(out, cs.lastReq, false);
                 }
+                const auto &prog = e->programs[c];
                 out.u32(static_cast<std::uint32_t>(
-                    cs.queue.size()));
-                for (const auto &r : cs.queue)
-                    writeRef(out, r);
+                    prog.size() - cs.next));
+                for (std::size_t r = cs.next; r < prog.size(); ++r)
+                    writeRef(out, prog[r]);
                 out.u8(cs.evicting ? 1 : 0);
                 if (cs.evicting) {
                     out.u64(cs.victimBlk);
@@ -345,32 +342,25 @@ EngineGateway::canonical() const
                                          homeOfBlk(cs.victimBlk),
                                          cs.evictToken));
                     out.u32(static_cast<std::uint32_t>(cs.candIdx));
-                    out.u32(static_cast<std::uint32_t>(
-                        cs.candidates.size()));
-                    for (NodeId cand : cs.candidates)
-                        out.u32(mapNode(cand));
+                    const auto &cands = cs.candidates;
+                    out.u32(static_cast<std::uint32_t>(cands.count()));
+                    for (std::size_t i = cands.findFirst();
+                         i < cands.size(); i = cands.findNext(i))
+                        out.u32(mapNode(static_cast<NodeId>(i)));
                 }
-                // The four sets are usually empty; skip their lookups.
-                const bool pins = !cs.pinnedTx.empty() ||
-                    !cs.pinnedOffer.empty() ||
-                    !cs.clearPending.empty() || !cs.purged.empty();
+                // Per block, the cpu's BlockMark bits. The table is
+                // usually empty; skip its lookups then.
                 for (BlockId blk = 0; blk < nb; ++blk) {
-                    std::uint8_t flags = 0;
-                    if (pins && cs.pinnedTx.contains(blk))
-                        flags |= 1;
-                    if (pins && cs.pinnedOffer.contains(blk))
-                        flags |= 2;
-                    if (pins && cs.clearPending.contains(blk))
-                        flags |= 4;
-                    if (pins && cs.purged.contains(blk))
-                        flags |= 8;
-                    out.u8(flags);
+                    const std::uint8_t *mk = e->marks.empty()
+                        ? nullptr
+                        : e->marks.find(Engine::markKey(c, blk));
+                    out.u8(mk ? *mk : 0);
                 }
 
                 // Cache entries, per set in block order, with the
                 // LRU use clock reduced to a per-set rank.
                 sc.entries.clear();
-                cs.array.forEachOccupied([&](const cache::Entry &en) {
+                e->caches[c].forEachOccupied([&](const cache::Entry &en) {
                     sc.entries.push_back(&en);
                 });
                 std::sort(sc.entries.begin(), sc.entries.end(),
@@ -407,60 +397,57 @@ EngineGateway::canonical() const
             }
 
             // ---- home sections, raw order ----------------------
+            // A block the home never served has no HomeBlock and
+            // reads as a default one: not busy, nothing parked.
+            const Engine::HomeBlock idle{};
             for (unsigned h = 0; h < n; ++h) {
-                const auto &hs = e->homes[h];
                 for (BlockId blk = h; blk < nb; blk += n) {
-                    const std::uint64_t *tok =
-                        hs.busyToken.find(blk);
+                    const auto *found = e->homeBlocks.find(blk);
+                    const Engine::HomeBlock &hb = found ? *found : idle;
+                    const std::uint64_t tok = hb.busyToken;
                     out.u8(tok ? 1 : 0);
-                    out.u64(tok ? ranks.rankOf(HomeToken, h, *tok) : 0);
-                    auto rel = hs.busyReleaser.find(blk);
-                    out.u32(rel == hs.busyReleaser.end()
-                                ? NodeMarker
-                                : mapNode(rel->second));
-                    out.u8(hs.recovering.contains(blk) ? 1 : 0);
-                    out.u8(hs.recoveredGR.contains(blk) ? 1 : 0);
+                    out.u64(ranks.rankOf(HomeToken, h, tok));
+                    out.u32(mapNode(hb.busyReleaser));
+                    out.u8(hb.recovering ? 1 : 0);
+                    out.u8(hb.recoveredGR ? 1 : 0);
 
-                    const auto *q = hs.waiting.find(blk);
-                    out.u32(q ? static_cast<std::uint32_t>(
-                                    q->size())
-                              : 0);
-                    if (q)
-                        for (const Msg &m : *q)
-                            writeMsg(out, m, false);
+                    out.u32(hb.parked);
+                    for (std::uint32_t s = hb.parkedHead;
+                         s != Engine::NoParked; s = e->parked[s].next)
+                        writeMsg(out, e->parked[s].msg, false);
 
-                    auto ctx = hs.recoveryCtx.find(blk);
-                    out.u8(ctx != hs.recoveryCtx.end() ? 1 : 0);
-                    if (ctx != hs.recoveryCtx.end()) {
+                    const Engine::RecoveryCtx *ctx = nullptr;
+                    for (const auto &r : e->recoveries)
+                        if (r.blk == blk)
+                            ctx = &r;
+                    out.u8(ctx ? 1 : 0);
+                    if (ctx) {
                         for (unsigned j = 0; j < n; ++j)
-                            out.u8(ctx->second.pending.contains(
-                                       inv[j])
-                                       ? 1 : 0);
-                        out.u32(static_cast<std::uint32_t>(
-                            ctx->second.suspecters.size()));
-                        for (NodeId s : ctx->second.suspecters)
-                            out.u32(mapNode(s));
-                        out.u8(ctx->second.haveData ? 1 : 0);
-                        out.u32(static_cast<std::uint32_t>(
-                            ctx->second.data.size()));
-                        for (std::uint64_t w : ctx->second.data)
-                            out.u64(w);
+                            out.u8(ctx->pending.test(inv[j]) ? 1 : 0);
+                        std::uint32_t nsus = 0;
+                        for (const auto &s : e->suspecters)
+                            nsus += s.blk == blk;
+                        out.u32(nsus);
+                        for (const auto &s : e->suspecters)
+                            if (s.blk == blk)
+                                out.u32(mapNode(s.node));
+                        out.u8(ctx->haveData ? 1 : 0);
+                        out.u32(ctx->haveData ? bw : 0);
+                        if (ctx->haveData)
+                            for (unsigned off = 0; off < bw; ++off)
+                                out.u64(ctx->data[off]);
                     }
 
-                    out.u32(mapNode(
-                        hs.mem.blockStore().owner(blk)));
+                    out.u32(mapNode(e->mem.blockStore().owner(blk)));
                     for (unsigned off = 0; off < bw; ++off)
-                        out.u64(hs.mem.readWord(blk, off));
-                    for (unsigned off = 0; off < bw; ++off) {
-                        Addr a = static_cast<Addr>(blk) * bw + off;
-                        const Tick *st = hs.durableStamp.find(a);
-                        out.u64(st ? ranks.rankOf(HomeStamp, h, *st) : 0);
-                    }
+                        out.u64(e->mem.readWord(blk, off));
+                    for (unsigned off = 0; off < bw; ++off)
+                        out.u64(ranks.rankOf(HomeStamp, h,
+                                             hb.durableStamp[off]));
                 }
-                for (unsigned j = 0; j < n; ++j) {
-                    const std::uint64_t *s = sc.seen[h * n + inv[j]];
-                    out.u64(s ? ranks.rankOf(CpuSeq, inv[j], *s) : 0);
-                }
+                for (unsigned j = 0; j < n; ++j)
+                    out.u64(ranks.rankOf(CpuSeq, inv[j],
+                                         e->seqSeen[h * n + inv[j]]));
             }
 
             // ---- linearizability monitor -----------------------
@@ -468,19 +455,16 @@ EngineGateway::canonical() const
                 const std::uint64_t *lc = e->lastCompleted.find(a);
                 out.u8(lc ? 1 : 0);
                 out.u64(lc ? *lc : 0);
-                const auto *pw = e->pendingWrites.find(a);
-                if (!pw || pw->empty()) {
-                    out.u32(0);
-                } else {
-                    // The per-address multiset erases by swap-with
-                    // -last: order is path noise, so sort.
-                    sc.writes.assign(pw->begin(), pw->end());
-                    std::sort(sc.writes.begin(), sc.writes.end());
-                    out.u32(static_cast<std::uint32_t>(
-                        sc.writes.size()));
-                    for (std::uint64_t v : sc.writes)
-                        out.u64(v);
-                }
+                // The multiset erases by swap-with-last: order is
+                // path noise, so sort.
+                sc.writes.clear();
+                for (const auto &pw : e->pendingWrites)
+                    if (pw.addr == a)
+                        sc.writes.push_back(pw.value);
+                std::sort(sc.writes.begin(), sc.writes.end());
+                out.u32(static_cast<std::uint32_t>(sc.writes.size()));
+                for (std::uint64_t v : sc.writes)
+                    out.u64(v);
             }
 
             // ---- pending messages, grouped per stream ----------

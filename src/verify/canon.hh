@@ -217,9 +217,6 @@ struct CanonScratch
     std::vector<StreamKey> streams;
     /** The pending sweeps' nodes, sorted. */
     std::vector<std::uint32_t> sweeps;
-    /** seen[h * n + c]: home h's seqSeen entry for cpu c, looked up
-     *  once for both passes. */
-    std::vector<const std::uint64_t *> seen;
     /** The least serialization so far and the one being written. */
     ByteSink best, cand;
     bool reserved = false;

@@ -253,14 +253,15 @@ GatewaySubject::apply(const Action &a)
     return gw->takeObservations();
 }
 
-std::vector<std::uint8_t>
+const std::vector<std::uint8_t> &
 GatewaySubject::stateBytes()
 {
-    std::vector<std::uint8_t> b = gw->canonical();
+    const std::vector<std::uint8_t> &canon = gw->canonical();
+    bytes.assign(canon.begin(), canon.end());
     for (std::uint64_t s : gw->pendingSamples())
         for (int i = 0; i < 8; ++i)
-            b.push_back(static_cast<std::uint8_t>(s >> (8 * i)));
-    return b;
+            bytes.push_back(static_cast<std::uint8_t>(s >> (8 * i)));
+    return bytes;
 }
 
 ExploreResult
@@ -284,10 +285,14 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
     std::vector<Action> path;
     std::string err;
 
-    auto key = [&subj](const LinSpec &sp) {
-        std::vector<std::uint8_t> b = subj.stateBytes();
-        sp.appendBytes(b);
-        return hashBytes(b);
+    // The subject's bytes plus the spec set's, in storage reused
+    // for every key.
+    std::vector<std::uint8_t> keyBytes;
+    auto key = [&subj, &keyBytes](const LinSpec &sp) {
+        const std::vector<std::uint8_t> &b = subj.stateBytes();
+        keyBytes.assign(b.begin(), b.end());
+        sp.appendBytes(keyBytes);
+        return hashBytes(keyBytes);
     };
 
     // A frame that will expand more than one action saves the

@@ -72,9 +72,10 @@ class Subject
      * distinguish states whose *future observable behavior* can
      * differ -- in particular any accepted-but-not-yet-responded
      * read value must be folded in even if the exploration
-     * canonicalization omits it.
+     * canonicalization omits it. The bytes live in storage the
+     * subject owns, valid until its next stateBytes() call.
      */
-    virtual std::vector<std::uint8_t> stateBytes() = 0;
+    virtual const std::vector<std::uint8_t> &stateBytes() = 0;
 };
 
 /** The controlled-mode engine gateway as a refinement subject. */
@@ -90,10 +91,12 @@ class GatewaySubject final : public Subject
     unsigned numCpus() const override;
     std::vector<Action> enabledActions() override;
     std::vector<ObsEvent> apply(const Action &a) override;
-    std::vector<std::uint8_t> stateBytes() override;
+    const std::vector<std::uint8_t> &stateBytes() override;
 
   private:
     std::unique_ptr<EngineGateway> gw;
+    /** stateBytes()'s result, reused across calls. */
+    std::vector<std::uint8_t> bytes;
 };
 
 /**

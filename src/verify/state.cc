@@ -108,11 +108,12 @@ EngineGateway::EngineGateway(const VerifyConfig &cfg_,
     for (std::size_t c = 0; c < cfg.program.size(); ++c) {
         for (workload::MemRef ref : cfg.program[c]) {
             ref.cpu = static_cast<NodeId>(c);
-            eng->cpus[c].queue.push_back(ref);
+            eng->programs[c].push_back(ref);
             ++total;
         }
     }
     eng->refsOutstanding = total;
+    eng->reserveTables(nBlocks);
 }
 
 EngineGateway::~EngineGateway() = default;
@@ -149,8 +150,14 @@ EngineGateway::reset()
 void
 EngineGateway::save(std::size_t slot)
 {
-    if (slot >= slots.size())
+    if (slot >= slots.size()) {
+        // A new slot's first copy sizes it; reserving after it lets
+        // later, larger states fit too.
         slots.resize(slot + 1);
+        saveInto(slots[slot]);
+        slots[slot].state.reserveTables(nBlocks);
+        return;
+    }
     saveInto(slots[slot]);
 }
 
@@ -194,60 +201,23 @@ EngineGateway::settled() const
         !eng->vSweepPending.empty())
         return false;
     for (const auto &h : eng->homes)
-        if (!h.busyToken.empty())
+        if (h.busyBlocks != 0)
             return false;
     return true;
 }
 
-std::uint64_t
-EngineGateway::fingerprint(const Msg &m, bool src_is_mem)
-{
-    // FNV-1a over the full message content. Used to re-locate "the
-    // same" message in the pending buffer during counterexample
-    // replay; exploration itself never compares fingerprints across
-    // paths.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(static_cast<std::uint64_t>(m.type));
-    mix(m.src);
-    mix(m.dst);
-    mix(src_is_mem ? 1 : 0);
-    mix(m.toMemory ? 1 : 0);
-    mix(m.blk);
-    mix(m.requester);
-    mix(m.offset);
-    mix(m.value);
-    mix(m.seq);
-    mix(m.tok);
-    mix(m.flag ? 1 : 0);
-    mix(static_cast<std::uint64_t>(m.field.state));
-    mix(m.field.modified ? 1 : 0);
-    mix(m.field.owner);
-    for (std::size_t b = 0; b < m.field.present.size(); ++b)
-        mix(m.field.present.test(b) ? 1 : 0);
-    mix(m.data.size());
-    for (std::uint64_t w : m.data)
-        mix(w);
-    return h;
-}
-
 Action
-EngineGateway::describeDeliver(const Msg &m, bool src_is_mem,
-                               std::uint32_t index)
+EngineGateway::describeDeliver(const Pending &p, std::uint32_t index)
 {
+    const Msg &m = p.msg;
     Action a;
     a.kind = ActionKind::Deliver;
     a.index = index;
-    a.fp = fingerprint(m, src_is_mem);
+    a.fp = p.fp;
     a.msgType = static_cast<std::uint8_t>(m.type);
     a.src = m.src;
     a.dst = m.dst;
-    a.srcIsMem = src_is_mem;
+    a.srcIsMem = p.srcIsMem;
     a.toMemory = m.toMemory;
     a.blk = m.blk;
     a.seq = m.seq;
@@ -319,8 +289,7 @@ EngineGateway::enabledActions() const
     };
 
     for (NodeId c = 0; c < n; ++c) {
-        const auto &cs = eng->cpus[c];
-        if (!cs.active && !cs.queue.empty() &&
+        if (!eng->cpus[c].active && eng->hasNextRef(c) &&
             !eng->deadNodes.test(c))
             cpuAct(ActionKind::Issue, c);
     }
@@ -335,9 +304,8 @@ EngineGateway::enabledActions() const
     for (std::size_t i = 0; i < eng->vPending.size(); ++i) {
         if (!deliverEligible(i))
             continue;
-        out.push_back(describeDeliver(
-            eng->vPending[i].msg, eng->vPending[i].srcIsMem,
-            static_cast<std::uint32_t>(i)));
+        out.push_back(describeDeliver(eng->vPending[i],
+                                      static_cast<std::uint32_t>(i)));
     }
 
     // Timeouts enumerate after deliveries: a timer firing is the
@@ -449,11 +417,9 @@ EngineGateway::enabledNonDeliver(const Action &a) const
     if (a.kind != ActionKind::Deliver && a.node >= n)
         return false;
     switch (a.kind) {
-      case ActionKind::Issue: {
-        const auto &cs = eng->cpus[a.node];
-        return !cs.active && !cs.queue.empty() &&
+      case ActionKind::Issue:
+        return !eng->cpus[a.node].active && eng->hasNextRef(a.node) &&
                !eng->deadNodes.test(a.node);
-      }
       case ActionKind::Commit:
         return eng->cpus[a.node].active &&
                eng->cpus[a.node].vCommitPending;
@@ -501,8 +467,7 @@ EngineGateway::applyIfEnabled(const Action &a)
     for (std::size_t i = 0; i < eng->vPending.size(); ++i) {
         if (!eligible(i))
             continue;
-        if (fingerprint(eng->vPending[i].msg,
-                        eng->vPending[i].srcIsMem) == a.fp) {
+        if (eng->vPending[i].fp == a.fp) {
             found = i;
             break;
         }
@@ -549,9 +514,11 @@ EngineGateway::footprint(const Action &a) const
         // streams originating there; a write registers a pending
         // monitor value, a read may sample on a hit.
         f.comps = cpuComp(a.node);
-        const auto &q = eng->cpus[a.node].queue;
-        if (!q.empty())
-            mon(q.front().addr, q.front().isWrite);
+        if (eng->hasNextRef(a.node)) {
+            const workload::MemRef &r =
+                eng->programs[a.node][eng->cpus[a.node].next];
+            mon(r.addr, r.isWrite);
+        }
         break;
       }
       case ActionKind::Commit:
@@ -608,10 +575,11 @@ EngineGateway::takeObservations()
     return out;
 }
 
-std::vector<std::uint64_t>
+const std::vector<std::uint64_t> &
 EngineGateway::pendingSamples() const
 {
-    std::vector<std::uint64_t> out;
+    std::vector<std::uint64_t> &out = sampleScratch;
+    out.clear();
     for (const auto &cs : eng->cpus) {
         // Only an active read's accepted sample is observable state
         // (its respond event will carry it); anything else is

@@ -21,11 +21,14 @@
  *  - Sweep      a dead node's stabilization sweep runs at the homes.
  *
  * Between two actions the controlled engine is plain copyable
- * data: its mutable part (proto::ConcurrentState) plus the event
- * queue's tick. The gateway saves and restores states by copying
- * exactly that. save(slot) copy-assigns the state into a slot the
- * gateway owns and restore(slot) copies it back; the DFS loops
- * index slots by depth, so a reused slot allocates almost nothing.
+ * data: its mutable part (proto::ConcurrentState, a few flat arrays
+ * of trivially copyable records) plus the event queue's tick. The
+ * gateway saves and restores states by copying exactly that.
+ * save(slot) copy-assigns the state into a slot the gateway owns and
+ * restore(slot) copies it back; the DFS loops index slots by depth.
+ * The engine and every new slot are reserved for the config
+ * (ConcurrentState::reserveTables), so a copy allocates nothing
+ * unless a state outgrows them.
  * reset() restores the snapshot taken before the first action.
  * Action lists the DFS never held states for (counterexample
  * minimization, lasso validation, the Chrome export) are replayed
@@ -309,9 +312,10 @@ class EngineGateway
      * the pending read-sample per active read (the value a respond
      * will carry). The refinement harness folds this into its seen
      * key so states differing only in an accepted-but-uncommitted
-     * read value stay distinct.
+     * read value stay distinct. The values live in the gateway's
+     * scratch storage, valid until its next pendingSamples() call.
      */
-    std::vector<std::uint64_t> pendingSamples() const;
+    const std::vector<std::uint64_t> &pendingSamples() const;
 
     const VerifyConfig &config() const { return cfg; }
     const Tracer &tracer() const;
@@ -320,6 +324,7 @@ class EngineGateway
   private:
     using Engine = proto::ConcurrentProtocol;
     using Msg = Engine::Msg;
+    using Pending = Engine::VerifyPending;
 
     /** One saved state: what a controlled-mode action can change. */
     struct Snapshot
@@ -353,8 +358,7 @@ class EngineGateway
     bool deliverEligible(std::size_t i) const;
     /** Any pending message sent by a now-dead cache role. */
     bool deadSrcPending(NodeId n = invalidNode) const;
-    static std::uint64_t fingerprint(const Msg &m, bool src_is_mem);
-    static Action describeDeliver(const Msg &m, bool src_is_mem,
+    static Action describeDeliver(const Pending &p,
                                   std::uint32_t index);
 
     VerifyConfig cfg;
@@ -371,6 +375,8 @@ class EngineGateway
     /** canonical()'s working storage and result; empty until the
      *  first call. */
     mutable CanonScratch canonScratch;
+    /** pendingSamples()'s result. */
+    mutable std::vector<std::uint64_t> sampleScratch;
 };
 
 } // namespace mscp::verify

@@ -288,6 +288,30 @@ TEST(Concurrent, RandomSweepAcrossConfigs)
     }
 }
 
+TEST(Concurrent, BuildingBeyondMsgLimitsPanicsNamingTheLimit)
+{
+    // Messages carry present vectors and block payloads inline, so
+    // an engine wider or with larger blocks than they hold must
+    // refuse to be built, and say which limit it hit.
+    auto panicText = [](unsigned ports, unsigned block_words) {
+        net::OmegaNetwork net(ports);
+        ConcurrentParams params = baseParams();
+        params.geometry.blockWords = block_words;
+        try {
+            ConcurrentProtocol p(net, params);
+        } catch (const PanicError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_NE(panicText(512, 4).find("512 ports exceed MsgMaxNodes (256)"),
+              std::string::npos);
+    EXPECT_NE(panicText(8, 8).find(
+                  "8-word blocks exceed MsgMaxBlockWords (4)"),
+              std::string::npos);
+    EXPECT_EQ(panicText(256, 4), "");
+}
+
 TEST(Concurrent, HitsAreFasterThanMisses)
 {
     net::OmegaNetwork net(8);

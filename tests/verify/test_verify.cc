@@ -5,8 +5,9 @@
  * violations, exploration must be deterministic, symmetry
  * reduction must shrink the state count without changing the
  * verdict, and replay must reproduce states exactly. Keying a state
- * (canonical bytes plus their hash) must allocate nothing once warm,
- * and the state hash is pinned on known answers. The two known
+ * (canonical bytes plus their hash, for the explorers and for the
+ * refinement checker) and saving or restoring one must allocate
+ * nothing once warm, and the state hash is pinned on known answers. The two known
  * defects (ROADMAP items 1 and 2) are pinned as minimized golden
  * counterexamples.
  */
@@ -266,6 +267,69 @@ sweepConfigs()
             evict,
             timeout,
             crash};
+}
+
+/** The crash-rejoin defect's config (ROADMAP item 1): one block,
+ *  GR, a budgeted crash with cold rejoin. */
+VerifyConfig
+crashRejoinConfig()
+{
+    VerifyConfig cfg;
+    cfg.name = "F-crash-rejoin";
+    cfg.nodes = 4;
+    cfg.geometry = cache::Geometry{1, 1, 1};
+    cfg.mode = cache::Mode::GlobalRead;
+    cfg.program = {
+        {{0, 0, true, 1}, {0, 0, false, 0}},
+        {{1, 0, false, 0}, {1, 0, true, 2}},
+        {{2, 0, false, 0}},
+    };
+    cfg.opt.crashBudget = 1;
+    cfg.opt.allowRejoin = true;
+    cfg.opt.timeoutBase = 1;
+    cfg.opt.maxRetries = 1;
+    cfg.opt.dedupResends = true;
+    return cfg;
+}
+
+/** The two-writer false positive's config (ROADMAP item 2). */
+VerifyConfig
+twoWritersConfig()
+{
+    VerifyConfig cfg;
+    cfg.name = "G-two-writers";
+    cfg.nodes = 4;
+    cfg.geometry = cache::Geometry{1, 1, 1};
+    cfg.mode = cache::Mode::GlobalRead;
+    cfg.program = {
+        {{0, 0, true, 7}, {0, 1, true, 8}},
+        {{1, 0, false, 0}, {1, 1, false, 0}},
+        {{2, 0, false, 0}, {2, 1, true, 9}},
+    };
+    return cfg;
+}
+
+/** The sweep's configurations plus the two defect configurations,
+ *  which reach rejoin and eviction hand-offs the sweep does not. */
+std::vector<VerifyConfig>
+snapshotConfigs()
+{
+    std::vector<VerifyConfig> cfgs = sweepConfigs();
+    cfgs.push_back(crashRejoinConfig());
+    cfgs.push_back(twoWritersConfig());
+    return cfgs;
+}
+
+/** Apply @p a; false if the engine panicked. */
+bool
+applies(EngineGateway &gw, const Action &a)
+{
+    try {
+        gw.apply(a);
+        return true;
+    } catch (const PanicError &) {
+        return false;
+    }
 }
 
 } // anonymous namespace
@@ -618,7 +682,10 @@ TEST(Verify, SnapshotRestoreMatchesFreshReplay)
     // prefix and must agree, first in the restored state and then
     // after the same wander on both (catching state the canonical
     // form drops but later actions read). Slots are reused across
-    // walks, and each walk starts from reset().
+    // walks, and each walk starts from reset(). The defect configs
+    // reach cold rejoin, the crash-recovery tables and eviction
+    // hand-offs. An action that panics ends the wander or the walk,
+    // and the replaying gateway must panic on it too.
     std::uint64_t rng = 0x5a4e;
     auto next = [&rng](std::size_t n) {
         std::uint64_t z = rng += 0x9e3779b97f4a7c15ull;
@@ -626,7 +693,7 @@ TEST(Verify, SnapshotRestoreMatchesFreshReplay)
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
         return static_cast<std::size_t>((z ^ (z >> 31)) % n);
     };
-    for (const VerifyConfig &cfg : sweepConfigs()) {
+    for (const VerifyConfig &cfg : snapshotConfigs()) {
         EngineGateway gw(cfg);
         for (unsigned walk = 0; walk < 12; ++walk) {
             gw.reset();
@@ -642,7 +709,8 @@ TEST(Verify, SnapshotRestoreMatchesFreshReplay)
                     if (here.empty())
                         break;
                     wander.push_back(here[next(here.size())]);
-                    gw.apply(wander.back());
+                    if (!applies(gw, wander.back()))
+                        break;
                 }
                 gw.restore(prefix.size());
 
@@ -654,8 +722,11 @@ TEST(Verify, SnapshotRestoreMatchesFreshReplay)
                     " step " + std::to_string(step);
                 expectSameState(gw, fresh, where + " restored");
                 for (std::size_t k = 0; k < wander.size(); ++k) {
-                    gw.apply(wander[k]);
-                    fresh.apply(wander[k]);
+                    const bool ok = applies(gw, wander[k]);
+                    ASSERT_EQ(applies(fresh, wander[k]), ok)
+                        << where << " wander " << k;
+                    if (!ok)
+                        break;
                     expectSameState(gw, fresh,
                                     where + " wander " +
                                         std::to_string(k));
@@ -665,9 +736,56 @@ TEST(Verify, SnapshotRestoreMatchesFreshReplay)
 
                 gw.restore(prefix.size());
                 prefix.push_back(acts[next(acts.size())]);
-                gw.apply(prefix.back());
+                if (!applies(gw, prefix.back())) {
+                    EngineGateway replay(cfg);
+                    for (std::size_t i = 0; i + 1 < prefix.size(); ++i)
+                        replay.apply(prefix[i]);
+                    EXPECT_FALSE(applies(replay, prefix.back()))
+                        << where << ": only the restored gateway "
+                                    "panicked";
+                    break;
+                }
             }
         }
+    }
+}
+
+TEST(Verify, SaveRestoreAllocatesNothingOnceWarm)
+{
+    // The DFS saves a state per frame and restores it per sibling
+    // action. A snapshot is a few flat arrays, so once a warm-up walk
+    // has sized the slot and the engine, copying a state either way
+    // must allocate nothing.
+    std::uint64_t rng = 0x5afe;
+    auto next = [&rng](std::size_t n) {
+        std::uint64_t z = rng += 0x9e3779b97f4a7c15ull;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return static_cast<std::size_t>((z ^ (z >> 31)) % n);
+    };
+    for (const VerifyConfig &cfg : snapshotConfigs()) {
+        EngineGateway gw(cfg);
+        std::uint64_t copies = 0;
+        for (unsigned walk = 0; walk <= 20; ++walk) {
+            gw.reset();
+            for (unsigned step = 0; step < 200; ++step) {
+                const std::size_t before = allocations;
+                gw.save(0);
+                gw.restore(0);
+                const std::size_t spent = allocations - before;
+                if (walk > 0) {
+                    EXPECT_EQ(spent, 0u) << cfg.name << " walk " << walk
+                                         << " step " << step;
+                    ++copies;
+                }
+                std::vector<Action> acts = gw.enabledActions();
+                if (acts.empty() || !applies(gw, acts[next(acts.size())]))
+                    break;
+            }
+            if (HasFailure())
+                return;
+        }
+        EXPECT_GT(copies, 100u) << cfg.name;
     }
 }
 
@@ -717,6 +835,36 @@ TEST(Verify, CanonicalAllocatesNothingOnceWarm)
                 return;
         }
         EXPECT_GT(keyed, 100u) << cfg.name;
+    }
+
+    // The refinement DFS keys each state by its subject's bytes
+    // (canonical form plus pending read samples), which the subject
+    // keeps in storage of its own.
+    for (cache::Mode mode : {cache::Mode::DistributedWrite,
+                             cache::Mode::GlobalRead}) {
+        verify::GatewaySubject subj(smallConfig(mode));
+        std::uint64_t keyed = 0;
+        for (unsigned walk = 0; walk <= 20; ++walk) {
+            subj.reset();
+            for (unsigned step = 0; step < 200; ++step) {
+                const std::size_t before = allocations;
+                const verify::Hash128 h = verify::hashBytes(subj.stateBytes());
+                const std::size_t spent = allocations - before;
+                if (walk > 0) {
+                    EXPECT_EQ(spent, 0u) << "refine " << walk << " step "
+                                         << step;
+                    ++keyed;
+                }
+                EXPECT_FALSE(h.lo == 0 && h.hi == 0);
+                std::vector<Action> acts = subj.enabledActions();
+                if (acts.empty())
+                    break;
+                subj.apply(acts[next(acts.size())]);
+            }
+            if (HasFailure())
+                return;
+        }
+        EXPECT_GT(keyed, 20u);
     }
 }
 
@@ -846,23 +994,8 @@ TEST(Verify, CrashRejoinDefectMinimizesToGolden)
     // cpu2 an OwnerAnnounce, then dies before the announce lands;
     // crashNode's scrub drops cpu2's pointer to cpu0, but cpu1's
     // present vector still names cpu2 (I4).
-    VerifyConfig cfg;
-    cfg.name = "F-crash-rejoin";
-    cfg.nodes = 4;
-    cfg.geometry = cache::Geometry{1, 1, 1};
-    cfg.mode = cache::Mode::GlobalRead;
-    cfg.program = {
-        {{0, 0, true, 1}, {0, 0, false, 0}},
-        {{1, 0, false, 0}, {1, 0, true, 2}},
-        {{2, 0, false, 0}},
-    };
-    cfg.opt.crashBudget = 1;
-    cfg.opt.allowRejoin = true;
-    cfg.opt.timeoutBase = 1;
-    cfg.opt.maxRetries = 1;
-    cfg.opt.dedupResends = true;
     expectGolden("golden_crash_rejoin_min.txt",
-                 minimizedCounterexample(cfg));
+                 minimizedCounterexample(crashRejoinConfig()));
 }
 
 TEST(Verify, TwoWriterFalsePositiveMinimizesToGolden)
@@ -871,16 +1004,6 @@ TEST(Verify, TwoWriterFalsePositiveMinimizesToGolden)
     // ownership moves completes after the next owner's write, and
     // I10 takes the last write to complete as the latest one, so it
     // flags a linearizable run.
-    VerifyConfig cfg;
-    cfg.name = "G-two-writers";
-    cfg.nodes = 4;
-    cfg.geometry = cache::Geometry{1, 1, 1};
-    cfg.mode = cache::Mode::GlobalRead;
-    cfg.program = {
-        {{0, 0, true, 7}, {0, 1, true, 8}},
-        {{1, 0, false, 0}, {1, 1, false, 0}},
-        {{2, 0, false, 0}, {2, 1, true, 9}},
-    };
     expectGolden("golden_two_writers_min.txt",
-                 minimizedCounterexample(cfg));
+                 minimizedCounterexample(twoWritersConfig()));
 }

@@ -19,11 +19,16 @@ hot paths rely on but the compiler only partially enforces:
     inside the engine's trace() wrapper, which stamps the current
     tick exactly once. Everything else must route through trace().
 
- 4. Msg keeps its fixed scalar layout plus exactly one dynamic
-    member (the block-payload vector): the message-arena recycler
-    and the model checker's canonical serializer both enumerate its
-    fields explicitly and must be updated in lockstep with any new
-    member -- flag the drift here, not in a debugger.
+ 4. Msg stays trivially copyable: the static_assert on
+    is_trivially_copyable_v<Msg> must be present, and neither Msg
+    nor its inline state field MsgField may hold a std::vector, a
+    DynamicBitset or a cache::StateField (whose present vector lives
+    on the heap). Sends, the message slab, retry copies and every
+    model-checker snapshot copy messages as bytes. Every member has
+    a known type, since the canonical serializer and the replay
+    fingerprint enumerate Msg fields explicitly and must be updated
+    in lockstep with any new member -- flag the drift here, not in a
+    debugger.
 
  5. The event loop's inline storage stays allocation-free:
     LatencySink stays an InlineCallback alias; InlineCallback keeps
@@ -59,7 +64,7 @@ hot paths rely on but the compiler only partially enforces:
 
 Run from the repo root:  python3 tools/lint_pods.py
 Exit status 0 iff every check passes; findings go to stderr.
-'--selftest' additionally feeds checks 5, 7 and 8 deliberately
+'--selftest' additionally feeds checks 4, 5, 7 and 8 deliberately
 corrupted sources and fails unless the lint flags them (guards the
 guard).
 """
@@ -160,29 +165,43 @@ def check_record_call_sites():
                              "wrapper; route tracing through trace()")
 
 
-def check_msg():
+# Member types Msg and MsgField may use: scalars, the inline field
+# and the fixed-size payload and present-vector types.
+MSG_TYPES = {
+    "Msg": {"MsgType", "NodeId", "bool", "BlockId", "unsigned",
+            "std::uint64_t", "std::uint32_t", "std::uint8_t",
+            "MsgField",
+            "std::array<std::uint64_t, MsgMaxBlockWords>"},
+    "MsgField": {"cache::State", "bool", "NodeId", "NodeSet"},
+}
+# Members that put storage on the heap.
+HEAP_TYPES = ("std::vector", "DynamicBitset", "cache::StateField",
+              "StateField")
+
+
+def check_msg(text=None):
     path = SRC / "proto" / "concurrent.hh"
-    text = path.read_text()
-    body, line = extract_struct(text, "Msg")
-    if body is None:
-        fail(path, 1, "struct Msg not found")
-        return
-    scalar = {"MsgType", "NodeId", "bool", "BlockId", "unsigned",
-              "std::uint64_t", "std::uint32_t", "cache::StateField"}
-    dynamic = []
-    for off, mtype, name in member_lines(body):
-        if mtype.startswith("std::vector"):
-            dynamic.append((off, mtype, name))
-        elif mtype not in scalar:
-            fail(path, line + off,
-                 f"Msg member '{name}' has unexpected type "
-                 f"'{mtype}'; the arena recycler and the verify "
-                 f"serializer enumerate Msg fields explicitly")
-    if len(dynamic) != 1 or dynamic[0][2] != "data":
-        fail(path, line,
-             f"Msg must have exactly one dynamic member "
-             f"(std::vector data), found "
-             f"{[d[2] for d in dynamic]}")
+    if text is None:
+        text = path.read_text()
+    for name, allowed in MSG_TYPES.items():
+        body, line = extract_struct(text, name)
+        if body is None:
+            fail(path, 1, f"struct {name} not found")
+            continue
+        for off, mtype, member in member_lines(body):
+            if any(mtype.startswith(h) for h in HEAP_TYPES):
+                fail(path, line + off,
+                     f"{name} member '{member}' has heap-held type "
+                     f"'{mtype}'; Msg must stay trivially copyable")
+            elif mtype not in allowed:
+                fail(path, line + off,
+                     f"{name} member '{member}' has unexpected type "
+                     f"'{mtype}'; the verify serializer and the replay "
+                     f"fingerprint enumerate Msg fields explicitly")
+    if not re.search(r"static_assert\(\s*std::"
+                     r"is_trivially_copyable_v<Msg>", text):
+        fail(path, 1, "missing is_trivially_copyable_v<Msg> "
+                      "static_assert")
 
 
 def check_inline_storage(texts=None):
@@ -318,6 +337,25 @@ def check_verify_pods(texts=None):
                              f"<{name}> static_assert")
 
 
+# A Msg grown a heap-held payload vector, its trivially-copyable
+# static_assert gone, for --selftest. Check 4 must flag both.
+SELFTEST_BAD_MSG = """
+    struct MsgField
+    {
+        cache::State state = cache::State::Invalid;
+        NodeSet present;
+    };
+
+    struct Msg
+    {
+        MsgType type = MsgType::LoadReq;
+        NodeId src = 0;
+        MsgField field{};
+        std::vector<std::uint64_t> payload{};
+    };
+"""
+
+
 # Deliberately broken event-loop storage for --selftest: a heap
 # entry grown to 40 bytes (its size pin edited to match) and a
 # delivery event scheduled without the fitsInline assert. Check 5
@@ -383,6 +421,7 @@ struct LivenessFrame
 
 
 def selftest():
+    check_msg()
     check_inline_storage()
     check_metric_pods()
     check_verify_pods()
@@ -390,14 +429,17 @@ def selftest():
         for e in errors:
             print(e, file=sys.stderr)
         print("lint_pods --selftest: repo sources must pass "
-              "checks 5, 7 and 8 first", file=sys.stderr)
+              "checks 4, 5, 7 and 8 first", file=sys.stderr)
         return 1
+    check_msg(text=SELFTEST_BAD_MSG)
     check_inline_storage(texts=SELFTEST_BAD_INLINE)
     check_metric_pods(text=SELFTEST_BAD)
     check_verify_pods(texts=SELFTEST_BAD_VERIFY)
     flagged = list(errors)
     errors.clear()
-    wanted = ["sizeof(HeapEntry)", "fitsInline",
+    wanted = ["'payload' has heap-held type",
+              "is_trivially_copyable_v<Msg>",
+              "sizeof(HeapEntry)", "fitsInline",
               "'slot'", "'label'", "sizeof(MetricId)",
               "sizeof(MetricWindowHeader)",
               "is_trivially_copyable_v<MetricId>",
@@ -414,7 +456,7 @@ def selftest():
               f"flagged, missing findings about {missing}",
               file=sys.stderr)
         return 1
-    print(f"lint_pods --selftest: checks 5, 7 and 8 flagged all "
+    print(f"lint_pods --selftest: checks 4, 5, 7 and 8 flagged all "
           f"{len(flagged)} planted defects")
     return 0
 
