@@ -141,9 +141,9 @@ runConcurrent(const SweepPoint &pt, std::ostream *trace_out = nullptr,
     cp.jitterSeed = pt.faultSeed ^ 0x7e11;
     cp.watchdogPeriod = pt.watchdogPeriod;
     cp.watchdogAge = pt.watchdogAge;
-    cp.traceEnabled = pt.traceEnabled || trace_out != nullptr;
+    cp.traceEnabled = trace_out != nullptr;
     cp.traceCapacity = pt.traceCapacity;
-    cp.metricsEnabled = pt.metricsEnabled || metrics_out != nullptr;
+    cp.metricsEnabled = metrics_out != nullptr;
     cp.metricsWindow = pt.metricsWindow;
     proto::ConcurrentProtocol proto(net, cp);
     auto stream = makeStream(pt);

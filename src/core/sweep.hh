@@ -93,15 +93,12 @@ struct SweepPoint
     Tick crashRestartDelta = 0;
     /** @} */
 
-    /** @{ observability (concurrent engine only) */
-    /** Enable the event tracer for this point (the engine also
-     *  auto-enables it while a watchdog is armed). */
-    bool traceEnabled = false;
+    /** @{ observability (concurrent engine only). runPointObserved
+     *  turns the tracer on when given a trace stream and metrics on
+     *  when given a metrics stream; the engine also runs the tracer
+     *  while a watchdog is armed. */
     /** Tracer ring capacity in records. */
     std::size_t traceCapacity = 4096;
-    /** Enable windowed metrics for this point (sim/metrics.hh);
-     *  runPointObserved forces it on when given a metrics stream. */
-    bool metricsEnabled = false;
     /** Metrics window width in ticks. */
     Tick metricsWindow = 2048;
     /** @} */

@@ -10,6 +10,7 @@
 #include "concurrent.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -32,8 +33,7 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
     // watchdog (so deadlock reports always carry history). The
     // queue and network tracers stay detached otherwise, keeping
     // their untraced paths to a single branch.
-    if (traceCompiledIn() &&
-        (params.traceEnabled || params.watchdogPeriod > 0)) {
+    if (params.traceEnabled || params.watchdogPeriod > 0) {
         _tracer.setEnabled(true);
         // When the tracer rides along only as the watchdog's
         // history buffer, ring overwrite is its designed steady
@@ -46,7 +46,7 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
     // sampler and the network's heatmap hooks are only installed
     // while enabled, so a metrics-off run pays one branch per call
     // site and is byte-identical in results and output.
-    if (metricsCompiledIn() && params.metricsEnabled) {
+    if (params.metricsEnabled) {
         mx.setEnabled(true);
         msampler.setProbe([this] { metricsProbe(); });
         msampler.arm();
@@ -275,16 +275,15 @@ ConcurrentState::reserveTables(std::size_t blocks)
 std::uint64_t
 ConcurrentState::fingerprint(const Msg &m, bool src_is_mem)
 {
-    // FNV-1a over the full message content. Used to re-locate "the
-    // same" message in the pending buffer during counterexample
-    // replay; exploration itself never compares fingerprints across
-    // paths.
+    // One multiply-rotate step per field over the full message
+    // content. Used to re-locate "the same" message in the pending
+    // buffer during counterexample replay; exploration itself never
+    // compares fingerprints across paths.
+    constexpr std::uint64_t c1 = 0x87c37b91114253d5ull;
+    constexpr std::uint64_t c2 = 0x4cf5ad432745937full;
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
+        h = std::rotl(h ^ (v * c1), 31) * c2;
     };
     mix(static_cast<std::uint64_t>(m.type));
     mix(m.src);

@@ -168,8 +168,7 @@ struct ConcurrentParams
     /**
      * Runtime tracing enable. The tracer is also switched on
      * whenever the watchdog is armed (watchdogPeriod > 0) so a
-     * deadlock report always carries event history. With tracing
-     * compiled out (MSCP_TRACE=OFF) both knobs are inert.
+     * deadlock report always carries event history.
      */
     bool traceEnabled = false;
     /** Ring capacity in records (rounded up to a power of two). */
@@ -177,8 +176,7 @@ struct ConcurrentParams
     /**
      * Runtime windowed-metrics enable (sim/metrics.hh): per-link
      * contention heatmaps, queue/directory gauges and health
-     * counters snapshotted every metricsWindow ticks. With metrics
-     * compiled out (MSCP_METRICS=OFF) all three knobs are inert.
+     * counters snapshotted every metricsWindow ticks.
      */
     bool metricsEnabled = false;
     /** Sampling window width in sim ticks. */
@@ -341,6 +339,10 @@ class ConcurrentState
     // Sends, the slab, the retry copy and every snapshot copy a Msg
     // as bytes; a heap-held member would allocate on each.
     static_assert(std::is_trivially_copyable_v<Msg>);
+    static_assert(sizeof(Msg) == 144,
+                  "Msg changed: update ConcurrentState::fingerprint "
+                  "and the verify serializer (verify/canon.cc) to "
+                  "match, then this size");
 
     /** Phases of a processor's outstanding transaction. */
     enum class Phase : std::uint8_t
@@ -571,9 +573,9 @@ class ConcurrentState
                   std::is_trivially_copyable_v<VerifyPending>);
 
     /**
-     * Content fingerprint of a parked message (FNV-1a over every
-     * field): the Deliver action's identity, so a replay from a
-     * reset can re-locate "the same" message in the buffer.
+     * Content fingerprint of a parked message (one multiply-rotate
+     * step per field): the Deliver action's identity, so a replay
+     * from a reset can re-locate "the same" message in the buffer.
      */
     static std::uint64_t fingerprint(const Msg &m, bool src_is_mem);
 
@@ -707,6 +709,9 @@ class ConcurrentProtocol : private ConcurrentState
      * (perfbench/) collects its latency percentiles through it.
      */
     using LatencySink = InlineCallback<OpClass, Tick>;
+    static_assert(std::is_trivially_copyable_v<LatencySink>,
+                  "LatencySink must stay an inline callable: the "
+                  "completion path must not allocate");
 
     ConcurrentProtocol(net::OmegaNetwork &network,
                        ConcurrentParams params);

@@ -322,57 +322,53 @@ ConcurrentProtocol::buildDeadlockReport(
             hb ? hb->parked : 0, mem.blockStore().owner(blk));
         // Replay the last trace records touching this cpu: the
         // state snapshot says where the transaction is stuck, the
-        // timeline says how it got there.
-        if (_tracer.enabled()) {
-            constexpr std::size_t HistN = 16;
-            std::vector<TraceRecord> hist;
-            _tracer.forEach([&](const TraceRecord &r) {
-                if (r.node == c || r.node2 == c) {
-                    if (hist.size() == HistN)
-                        hist.erase(hist.begin());
-                    hist.push_back(r);
-                }
-            });
-            out += csprintf("        last %zu event(s):\n",
-                            hist.size());
-            for (const TraceRecord &r : hist) {
-                const auto ev = static_cast<TraceEvent>(r.kind);
-                const char *cls = "";
-                switch (ev) {
-                  case TraceEvent::Send:
-                  case TraceEvent::Deliver:
-                  case TraceEvent::Forward:
-                  case TraceEvent::Nack:
-                  case TraceEvent::Retry:
-                  case TraceEvent::HomeAccept:
-                  case TraceEvent::HomeQueue:
-                  case TraceEvent::HomeDup:
-                    cls = msgTypeName(static_cast<MsgType>(r.cls));
-                    break;
-                  case TraceEvent::Issue:
-                  case TraceEvent::Commit:
-                  case TraceEvent::Complete:
-                  case TraceEvent::EvictEnd:
-                    cls = opClassName(static_cast<OpClass>(r.cls));
-                    break;
-                  case TraceEvent::Timeout:
-                  case TraceEvent::WatchdogFlag:
-                    cls = phaseName(static_cast<Phase>(r.cls));
-                    break;
-                  default:
-                    break;
-                }
-                out += csprintf(
-                    "          t=%llu %s %u->%u %s seq=%llu "
-                    "arg=%llu\n",
-                    static_cast<unsigned long long>(r.tick),
-                    traceEventName(ev), r.node, r.node2, cls,
-                    static_cast<unsigned long long>(r.seq),
-                    static_cast<unsigned long long>(r.arg));
+        // timeline says how it got there. An armed watchdog always
+        // runs with the tracer on (see the constructor).
+        constexpr std::size_t HistN = 16;
+        std::vector<TraceRecord> hist;
+        _tracer.forEach([&](const TraceRecord &r) {
+            if (r.node == c || r.node2 == c) {
+                if (hist.size() == HistN)
+                    hist.erase(hist.begin());
+                hist.push_back(r);
             }
-        } else {
-            out += "        (no event history: tracing disabled "
-                   "or compiled out)\n";
+        });
+        out += csprintf("        last %zu event(s):\n",
+                        hist.size());
+        for (const TraceRecord &r : hist) {
+            const auto ev = static_cast<TraceEvent>(r.kind);
+            const char *cls = "";
+            switch (ev) {
+              case TraceEvent::Send:
+              case TraceEvent::Deliver:
+              case TraceEvent::Forward:
+              case TraceEvent::Nack:
+              case TraceEvent::Retry:
+              case TraceEvent::HomeAccept:
+              case TraceEvent::HomeQueue:
+              case TraceEvent::HomeDup:
+                cls = msgTypeName(static_cast<MsgType>(r.cls));
+                break;
+              case TraceEvent::Issue:
+              case TraceEvent::Commit:
+              case TraceEvent::Complete:
+              case TraceEvent::EvictEnd:
+                cls = opClassName(static_cast<OpClass>(r.cls));
+                break;
+              case TraceEvent::Timeout:
+              case TraceEvent::WatchdogFlag:
+                cls = phaseName(static_cast<Phase>(r.cls));
+                break;
+              default:
+                break;
+            }
+            out += csprintf(
+                "          t=%llu %s %u->%u %s seq=%llu "
+                "arg=%llu\n",
+                static_cast<unsigned long long>(r.tick),
+                traceEventName(ev), r.node, r.node2, cls,
+                static_cast<unsigned long long>(r.seq),
+                static_cast<unsigned long long>(r.arg));
         }
     }
     std::size_t inflight = 0;
@@ -386,12 +382,10 @@ ConcurrentProtocol::buildDeadlockReport(
     // (a saturated ring means the timeline replays are partial),
     // which message classes the dead-node sink swallowed, and a
     // fresh scalar-metrics snapshot of the wedged system.
-    if (_tracer.enabled()) {
-        out += csprintf(
-            "  trace ring: %llu recorded, %llu lost to overwrite\n",
-            static_cast<unsigned long long>(_tracer.recorded()),
-            static_cast<unsigned long long>(_tracer.dropped()));
-    }
+    out += csprintf(
+        "  trace ring: %llu recorded, %llu lost to overwrite\n",
+        static_cast<unsigned long long>(_tracer.recorded()),
+        static_cast<unsigned long long>(_tracer.dropped()));
     if (crashEnabled()) {
         const FaultCounters &fc = injector.counters();
         out += "  crash-masked deliveries:";

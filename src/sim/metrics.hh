@@ -23,10 +23,9 @@
  *    (idle windows) filled by carry-forward at merge/export time --
  *    so an idle stretch costs nothing and cannot flood the ring.
  *
- * Cost model: compiled out (MSCP_METRICS=OFF defines
- * MSCP_METRICS_DISABLED) every mutator is an empty inline function;
- * compiled in but runtime-disabled each is a single predictable
- * branch, and the sampler's advanceTo() is one comparison.
+ * Cost model: runtime-disabled, every mutator is a single
+ * predictable branch, and the sampler's advanceTo() is one
+ * comparison.
  *
  * Determinism: per-shard sets are sampled by per-shard samplers at
  * the shard's own event ticks, and shard count is fixed by
@@ -53,15 +52,12 @@
 namespace mscp
 {
 
-/** @return true iff metrics support is compiled in. */
+/** Always true: every build carries the metrics layer. perfbench
+ *  prints it in each run's identity record. */
 constexpr bool
 metricsCompiledIn()
 {
-#ifdef MSCP_METRICS_DISABLED
-    return false;
-#else
     return true;
-#endif
 }
 
 /** How a series' cells are interpreted at export time. */
@@ -89,8 +85,8 @@ metricBucket(std::uint64_t v)
 /**
  * Hot-path handle of one registered series: the first cell's index
  * and the row stride for grid cells. Fixed-width trivially copyable
- * POD (lint_pods.py check 7) so instrumented objects can hold
- * handles by value with a frozen layout.
+ * POD (pinned by the static_asserts below) so instrumented objects
+ * can hold handles by value with a frozen layout.
  */
 struct MetricId
 {
@@ -103,6 +99,8 @@ static_assert(sizeof(MetricId) == 8,
               "MetricId must stay a packed 8-byte POD");
 static_assert(std::is_trivially_copyable_v<MetricId>,
               "MetricId must stay trivially copyable");
+static_assert(std::has_unique_object_representations_v<MetricId>,
+              "MetricId members must stay fixed-width with no padding");
 
 /** Schema entry of one registered series. */
 struct MetricSeries
@@ -155,8 +153,7 @@ class MetricsRegistry
 
 /**
  * One engine's (or one shard's) cell array. Mutators follow the
- * tracer contract: empty when compiled out, one branch while
- * runtime-disabled.
+ * tracer contract: one branch while runtime-disabled.
  */
 class MetricSet
 {
@@ -168,49 +165,33 @@ class MetricSet
     /** Runtime enable; mutators are no-ops while disabled. */
     void setEnabled(bool on) { _enabled = on; }
 
-    bool
-    enabled() const
-    {
-        return metricsCompiledIn() && _enabled;
-    }
+    bool enabled() const { return _enabled; }
 
     /** Add @p d to a scalar counter. */
     void
     add(MetricId id, std::uint64_t d = 1)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot] += d;
-#else
-        (void)id; (void)d;
-#endif
     }
 
     /** Overwrite a scalar cell (gauges, probe-mirrored counters). */
     void
     set(MetricId id, std::uint64_t v)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot] = v;
-#else
-        (void)id; (void)v;
-#endif
     }
 
     /** Count @p v into a log2 histogram series. */
     void
     sample(MetricId id, std::uint64_t v)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot + metricBucket(v)] += 1;
-#else
-        (void)id; (void)v;
-#endif
     }
 
     /** Add @p d to grid cell (@p row, @p col). */
@@ -218,13 +199,9 @@ class MetricSet
     cell(MetricId id, std::uint32_t row, std::uint32_t col,
          std::uint64_t d = 1)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot + row * id.cols + col] += d;
-#else
-        (void)id; (void)row; (void)col; (void)d;
-#endif
     }
 
     /** Current value of cell (@p row, @p col) of a series. */
@@ -248,8 +225,9 @@ class MetricSet
 
 /**
  * Fixed-width header preceding each snapshot's cells in the
- * sampler ring -- a 32-byte trivially copyable POD (lint_pods.py
- * check 7) so the ring stays one flat 64-bit-word buffer.
+ * sampler ring -- a 32-byte trivially copyable POD (pinned by the
+ * static_asserts below) so the ring stays one flat 64-bit-word
+ * buffer.
  */
 struct MetricWindowHeader
 {
@@ -263,6 +241,9 @@ static_assert(sizeof(MetricWindowHeader) == 32,
               "MetricWindowHeader must stay a packed 32-byte POD");
 static_assert(std::is_trivially_copyable_v<MetricWindowHeader>,
               "MetricWindowHeader must stay trivially copyable");
+static_assert(
+    std::has_unique_object_representations_v<MetricWindowHeader>,
+    "MetricWindowHeader members must stay fixed-width with no padding");
 
 /** One decoded (or merged) snapshot: cumulative cell values as of
  *  @c endTick. The defaulted operator== is the determinism oracle
@@ -327,13 +308,9 @@ class MetricsSampler
     void
     advanceTo(Tick now)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (now < next)
             return;
         snapshotBoundary(now);
-#else
-        (void)now;
-#endif
     }
 
     /**

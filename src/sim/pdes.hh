@@ -73,6 +73,9 @@ static_assert(sizeof(MailboxSlot) == 64,
               "MailboxSlot must stay one 64-byte cache line");
 static_assert(std::is_trivially_copyable_v<MailboxSlot>,
               "MailboxSlot crosses threads by memcpy");
+static_assert(std::has_unique_object_representations_v<MailboxSlot>,
+              "MailboxSlot members must stay fixed-width with no "
+              "padding");
 
 /**
  * Store a trivially-copyable payload struct into a slot's payload

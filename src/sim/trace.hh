@@ -6,10 +6,8 @@
  * attached to one engine (engines are single-threaded; the sweep
  * runner gives each worker thread its own engine, so each Tracer is
  * effectively per-thread and needs no locking). Recording is guarded
- * by a compile-time kill switch (the MSCP_TRACE CMake option; OFF
- * defines MSCP_TRACE_DISABLED and compiles record() to nothing) and a
- * runtime enable, so the disabled path costs a single predictable
- * branch per call site.
+ * by a runtime enable, so the disabled path costs a single
+ * predictable branch per call site.
  *
  * The ring overwrites its oldest record when full (overflow is
  * accounted, and the first overwrite is reported once through the
@@ -25,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -110,16 +109,16 @@ struct TraceRecord
 
 static_assert(sizeof(TraceRecord) == 32,
               "TraceRecord must stay a packed 32-byte POD");
+static_assert(std::has_unique_object_representations_v<TraceRecord>,
+              "TraceRecord members must stay fixed-width with no "
+              "padding");
 
-/** @return true iff tracing support is compiled in (MSCP_TRACE=ON). */
+/** Always true: every build carries the tracer. perfbench prints
+ *  it in each run's identity record. */
 constexpr bool
 traceCompiledIn()
 {
-#ifdef MSCP_TRACE_DISABLED
-    return false;
-#else
     return true;
-#endif
 }
 
 class Tracer
@@ -143,23 +142,14 @@ class Tracer
      */
     void setOverflowWarn(bool on);
 
-    bool
-    enabled() const
-    {
-        return traceCompiledIn() && _enabled;
-    }
+    bool enabled() const { return _enabled; }
 
-    /**
-     * Append one record. When tracing is compiled out this is an
-     * empty inline function; when compiled in but disabled it is a
-     * single branch.
-     */
+    /** Append one record; a single branch while disabled. */
     void
     record(TraceEvent kind, Tick tick, std::uint16_t node,
            std::uint16_t node2, std::uint8_t cls, std::uint64_t seq,
            std::uint64_t arg)
     {
-#ifndef MSCP_TRACE_DISABLED
         if (!_enabled)
             return;
         if (head >= capacity() && !warnedOverflow)
@@ -174,10 +164,6 @@ class Tracer
         r.cls = cls;
         r._pad = 0;
         ++head;
-#else
-        (void)kind; (void)tick; (void)node; (void)node2;
-        (void)cls; (void)seq; (void)arg;
-#endif
     }
 
     /** Total records ever recorded (including overwritten ones). */

@@ -143,7 +143,6 @@ PdesTrafficSystem::PdesTrafficSystem(const PdesTrafficConfig &config)
     panic_if(cfg.linkWidthBits == 0, "linkWidthBits must be >= 1");
 
     const unsigned n_ports = cfg.numPorts;
-    const bool metrics = metricsCompiledIn() && cfg.metricsEnabled;
     shards.reserve(map.numShards());
     for (unsigned s = 0; s < map.numShards(); ++s) {
         auto sh = std::make_unique<Shard>();
@@ -153,7 +152,7 @@ PdesTrafficSystem::PdesTrafficSystem(const PdesTrafficConfig &config)
             sh->tracer->setEnabled(true);
             sh->tracer->setOverflowWarn(false);
         }
-        if (metrics) {
+        if (cfg.metricsEnabled) {
             if (s == 0)
                 registerMetrics(*sh->net);
             sh->mx = std::make_unique<MetricSet>(mreg);

@@ -51,7 +51,7 @@ namespace mscp::verify
 /**
  * One slot of the iterative Tarjan DFS stack: the state being
  * expanded and the next outgoing edge to follow. POD with
- * fixed-width members (pinned by tools/lint_pods.py check 8); the
+ * fixed-width members (pinned by the static_asserts below); the
  * stack holds one per open state, so layout is load-bearing on the
  * biggest configs.
  */
@@ -65,6 +65,9 @@ static_assert(sizeof(LivenessFrame) == 8,
               "LivenessFrame layout drifted");
 static_assert(std::is_trivially_copyable_v<LivenessFrame>,
               "LivenessFrame must stay trivially copyable");
+static_assert(std::has_unique_object_representations_v<LivenessFrame>,
+              "LivenessFrame members must stay fixed-width with no "
+              "padding");
 
 /**
  * Build the full (unreduced) transition graph and search for a

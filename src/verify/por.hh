@@ -44,7 +44,7 @@ struct Action;
 
 /**
  * Static read/write footprint of one action. POD with fixed-width
- * members (pinned by tools/lint_pods.py check 8): the explorer
+ * members (pinned by the static_asserts below): the explorer
  * stores one per frame slot and per sleep-set entry.
  */
 struct ActionFootprint
@@ -65,6 +65,9 @@ static_assert(sizeof(ActionFootprint) == 24,
               "ActionFootprint layout drifted");
 static_assert(std::is_trivially_copyable_v<ActionFootprint>,
               "ActionFootprint must stay trivially copyable");
+static_assert(std::has_unique_object_representations_v<ActionFootprint>,
+              "ActionFootprint members must stay fixed-width with no "
+              "padding");
 
 /** One sleep-set entry: a not-to-be-re-explored action, identified
  *  by its stable key, plus the footprint that decides whether a

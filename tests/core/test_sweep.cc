@@ -185,13 +185,8 @@ TEST(Sweep, ObservedRunNeverPerturbsResults)
     EXPECT_TRUE(mscp::test::JsonChecker(trace.str()).valid());
 
     // The metrics stream is JSON Lines: every line valid on its own,
-    // each carrying the label we passed. Empty only when metrics are
-    // compiled out.
+    // each carrying the label we passed.
     const std::string mtext = metrics.str();
-    if (!metricsCompiledIn()) {
-        EXPECT_TRUE(mtext.empty());
-        return;
-    }
     ASSERT_FALSE(mtext.empty());
     std::istringstream lines(mtext);
     std::string line;

@@ -581,8 +581,6 @@ messageStreamGoldenPath()
 
 TEST(Concurrent, MessageStreamMatchesGolden)
 {
-    if (!traceCompiledIn())
-        GTEST_SKIP() << "tracing compiled out (MSCP_TRACE=OFF)";
     std::string rendered;
     ConcurrentCounters c;
 

@@ -413,16 +413,59 @@ TEST(FaultSoak, WatchdogCatchesUnrecoverableDrop)
     // The dump names the wedged cpu and its phase.
     EXPECT_NE(p.deadlockReport().find("cpu0"), std::string::npos);
     EXPECT_NE(p.deadlockReport().find("phase"), std::string::npos);
-    if (traceCompiledIn()) {
-        // The watchdog auto-enables the tracer, so the report must
-        // replay the wedged transaction's event history: at least
-        // the issue of the reference whose reply vanished.
-        EXPECT_NE(p.deadlockReport().find("last"),
-                  std::string::npos) << p.deadlockReport();
-        EXPECT_NE(p.deadlockReport().find("issue"),
-                  std::string::npos) << p.deadlockReport();
-    } else {
-        EXPECT_NE(p.deadlockReport().find("no event history"),
-                  std::string::npos);
+    // The watchdog auto-enables the tracer, so the report must
+    // replay the wedged transaction's event history: at least the
+    // issue of the reference whose reply vanished.
+    EXPECT_NE(p.deadlockReport().find("last"), std::string::npos)
+        << p.deadlockReport();
+    EXPECT_NE(p.deadlockReport().find("issue"), std::string::npos)
+        << p.deadlockReport();
+}
+
+TEST(FaultSoak, FaultPathsRunWithoutATracer)
+{
+    // TimedNetwork traces a dropped, duplicated or crash-masked
+    // delivery only while a tracer is attached. An armed watchdog
+    // attaches one, so every other faulted run here takes these
+    // paths traced; these two runs take them with no tracer: one
+    // under request drops and duplicates, one with a node killed
+    // and restarted (the grid shape of CrashSoakGridStaysClean).
+    for (const bool crash : {false, true}) {
+        SCOPED_TRACE(crash ? "crash plan" : "fault plan");
+        net::OmegaNetwork net(8);
+        ConcurrentParams params;
+        params.geometry = cache::Geometry{4, 16, 2};
+        params.faultPlan.seed = 0x51a;
+        params.faultPlan.of(FaultClass::Request).drop = 0.02;
+        params.faultPlan.of(FaultClass::Request).duplicate = 0.03;
+        params.faultPlan.of(FaultClass::Reply).duplicate = 0.03;
+        if (crash)
+            params.crashPlan = CrashPlan::singleNode(1, 2537, 5537);
+        params.timeoutBase = 256;
+        params.maxRetries = 5;
+        ConcurrentProtocol p(net, params);
+        ASSERT_FALSE(p.tracer().enabled());
+
+        workload::SharedBlockParams wp;
+        wp.placement = workload::adjacentPlacement(8);
+        wp.writeFraction = 0.35;
+        wp.numBlocks = 4;
+        wp.blockWords = 4;
+        wp.baseAddr = 4 * 4;
+        wp.numRefs = 1500;
+        wp.seed = 1;
+        workload::SharedBlockWorkload w(wp);
+        auto res = p.run(w);
+
+        EXPECT_EQ(res.valueErrors, 0u);
+        EXPECT_EQ(res.deadlocks, 0u);
+        EXPECT_GT(p.faultCounters().totalDropped(), 0u);
+        EXPECT_GT(p.faultCounters().totalDuplicated(), 0u);
+        if (crash) {
+            EXPECT_GT(p.faultCounters().totalCrashMasked(), 0u);
+        }
+        EXPECT_EQ(p.tracer().recorded(), 0u);
+        auto errs = checkInvariants(viewOf(p));
+        EXPECT_TRUE(errs.empty()) << errs.front();
     }
 }

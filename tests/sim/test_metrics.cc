@@ -67,8 +67,6 @@ TEST(Metrics, Log2Buckets)
 
 TEST(Metrics, MutatorsAreNoOpsWhileDisabled)
 {
-    // Holds in both builds: compiled out they are empty, compiled
-    // in the runtime enable is off by default.
     Schema s;
     MetricSet m(s.reg);
     m.add(s.refs, 5);
@@ -91,8 +89,6 @@ TEST(Metrics, DisarmedSamplerNeverSnapshots)
     EXPECT_EQ(smp.snapshots(), 0u);
     EXPECT_TRUE(smp.snapshotWindows().empty());
 }
-
-#ifndef MSCP_METRICS_DISABLED
 
 TEST(Metrics, MutatorsAccumulate)
 {
@@ -423,5 +419,3 @@ TEST(Metrics, SamplerSeriesIsIdenticalAcrossShardCounts)
     for (unsigned shards : {2u, 4u, 8u})
         EXPECT_EQ(run(shards), base) << shards << " shards";
 }
-
-#endif // !MSCP_METRICS_DISABLED
