@@ -54,7 +54,8 @@ StateField::toString() const
     if (isOwned(state)) {
         s += " P={";
         bool first = true;
-        for (auto i : present.setBits()) {
+        for (std::size_t i = present.findFirst(); i < present.size();
+             i = present.findNext(i)) {
             if (!first)
                 s += ",";
             s += std::to_string(i);

@@ -1,9 +1,23 @@
 #include "link_stats.hh"
 
 #include <algorithm>
+#include <numeric>
 
 namespace mscp::net
 {
+
+Bits
+LinkStats::levelBits(unsigned level) const
+{
+    const auto first = perLink.begin() + index(level, 0);
+    return std::accumulate(first, first + lines, Bits{0});
+}
+
+Bits
+LinkStats::totalBits() const
+{
+    return std::accumulate(perLink.begin(), perLink.end(), Bits{0});
+}
 
 Bits
 LinkStats::maxLinkBits() const
@@ -18,8 +32,6 @@ void
 LinkStats::reset()
 {
     std::fill(perLink.begin(), perLink.end(), 0);
-    std::fill(perLevel.begin(), perLevel.end(), 0);
-    _totalBits = 0;
     _traversals = 0;
 }
 

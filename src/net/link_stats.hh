@@ -9,7 +9,9 @@
  *
  * where L_i is the traffic on links *to* stage i. LinkStats keeps a
  * per-(level, line) bit counter so both the aggregate CC and per-link
- * hot-spot profiles can be extracted.
+ * hot-spot profiles can be extracted. Recording a link touches only
+ * its counter; L_i and CC are summed from the counters when read,
+ * which callers do at run boundaries.
  */
 
 #ifndef MSCP_NET_LINK_STATS_HH
@@ -31,9 +33,8 @@ class LinkStats
      * @param num_lines links per level (N)
      */
     LinkStats(unsigned num_levels, unsigned num_lines)
-        : lines(num_lines),
-          perLink(static_cast<std::size_t>(num_levels) * num_lines, 0),
-          perLevel(num_levels, 0)
+        : levels(num_levels), lines(num_lines),
+          perLink(static_cast<std::size_t>(num_levels) * num_lines, 0)
     {}
 
     /** Record @p bits crossing link (@p level, @p line). */
@@ -41,16 +42,14 @@ class LinkStats
     add(unsigned level, unsigned line, Bits bits)
     {
         perLink[index(level, line)] += bits;
-        perLevel[level] += bits;
-        _totalBits += bits;
         ++_traversals;
     }
 
     /** L_i: total traffic on links to stage @p level. */
-    Bits levelBits(unsigned level) const { return perLevel[level]; }
+    Bits levelBits(unsigned level) const;
 
     /** CC: total bits summed over every link. */
-    Bits totalBits() const { return _totalBits; }
+    Bits totalBits() const;
 
     /** Number of individual link traversals recorded. */
     std::uint64_t traversals() const { return _traversals; }
@@ -58,10 +57,7 @@ class LinkStats
     /** Highest single-link bit count (hot-spot measure). */
     Bits maxLinkBits() const;
 
-    unsigned numLevels() const
-    {
-        return static_cast<unsigned>(perLevel.size());
-    }
+    unsigned numLevels() const { return levels; }
 
     /** Zero every counter. */
     void reset();
@@ -76,10 +72,9 @@ class LinkStats
         return static_cast<std::size_t>(level) * lines + line;
     }
 
+    unsigned levels;
     unsigned lines;
     std::vector<Bits> perLink;
-    std::vector<Bits> perLevel;
-    Bits _totalBits = 0;
     std::uint64_t _traversals = 0;
 };
 

@@ -12,10 +12,17 @@
  * the one place a Scheme selects its tree. A walk hands every link
  * of the tree, parents first, to a visitor along with the value the
  * visitor returned for the parent link; the visitor decides what
- * the walk computes -- a trace, a bit count, LinkStats updates, or
+ * the walk computes -- a trace, LinkStats updates, or
  * TimedNetwork's link reservations -- so the simulator measures the
  * paper's communication-cost metric (eq. 1) on the very tree it
  * times.
+ *
+ * A multicast's destination set is a DynamicBitset of N bits: the
+ * present-flag vector, which scheme 2 carries as its routing tag.
+ * Eq. 8 prices the three schemes in closed form from one ascending
+ * pass over it (schemeCosts), and only the chosen tree is walked.
+ * The std::vector<NodeId> overloads are adapters for callers that
+ * hold a list.
  *
  * Header-size model (matching the paper's per-stage tables; a digit
  * is ceil(log2 a) bits, one bit for 2x2 switches):
@@ -64,9 +71,11 @@ class BasicOmegaNetwork
     explicit BasicOmegaNetwork(TopoArgs... topo_args)
         : topo(topo_args...),
           stats(topo.numLinkLevels(), topo.numPorts()),
-          scratchVector(topo.numPorts()),
+          scratchDests(topo.numPorts()),
           walkStack(topo.numStages() * (topo.radix() - 1) + 1)
     {
+        for (unsigned level = topo.numStages() + 1; level-- > 0;)
+            spanSuffix[level] = spanSuffix[level + 1] + topo.span(level);
     }
 
     const Topo &topology() const { return topo; }
@@ -125,27 +134,43 @@ class BasicOmegaNetwork
 
     /**
      * Evaluate (without committing) the cost each scheme would incur
-     * for this transfer. Index 0 -> scheme 1, 1 -> scheme 2,
-     * 2 -> scheme 3 (padded cube).
+     * for this transfer by tracing its tree: the reference the
+     * closed forms of schemeCosts() are tested against. Index 0 ->
+     * scheme 1, 1 -> scheme 2, 2 -> scheme 3 (padded cube).
      */
     std::array<RouteResult, 3> evaluateAllSchemes(
         NodeId src, const std::vector<NodeId> &dests,
         Bits payload_bits) const;
 
     /**
-     * Compute SchemeCosts without materializing traces: closed forms
-     * for schemes 1 and 3, the scheme-2 walk for scheme 2. Totals
-     * are bit-for-bit those of the traces. @p dests must be
-     * non-empty.
+     * Eq. 8's three costs without walking a tree, bit-for-bit the
+     * totals of the traces, from one ascending pass over the
+     * non-empty set @p dests (N bits). Scheme 1 is a closed form per
+     * destination. Scheme 2's tree has exactly one level-l link per
+     * distinct l-digit prefix of the destinations, carrying payload
+     * plus span(l) bits; so the first destination adds a whole
+     * path, and each later one the links from the level at which it
+     * diverges from its predecessor down. Scheme 3 widens a-fold at
+     * every free stage of the enclosing cube, which the same pass
+     * builds.
      */
+    SchemeCosts schemeCosts(NodeId src, const DynamicBitset &dests,
+                            Bits payload_bits) const;
+    /** The same for a list (loading it into the scratch set); a
+     *  duplicate counts again in scheme 1, which sends one unicast
+     *  per entry. */
     SchemeCosts schemeCosts(NodeId src,
                             const std::vector<NodeId> &dests,
                             Bits payload_bits) const;
 
     /** @{ Committed paths: the same links and bits as unicast() /
      *  multicast(), accumulated into the link statistics without a
-     *  trace. @return total bits committed. */
+     *  trace: walk() with a committing visitor. @return total bits
+     *  committed. */
     Bits unicastCommit(NodeId src, NodeId dst, Bits payload_bits);
+    Bits multicastCommit(Scheme scheme, NodeId src,
+                         const DynamicBitset &dests,
+                         Bits payload_bits);
     Bits multicastCommit(Scheme scheme, NodeId src,
                          const std::vector<NodeId> &dests,
                          Bits payload_bits);
@@ -166,11 +191,22 @@ class BasicOmegaNetwork
                      Value root, Visit &&visit) const;
 
     /**
-     * The tree @p scheme routes to @p dests (nothing if empty);
-     * Combined walks SchemeCosts::cheapest(). Scheme 1 walks one
-     * path per destination, each from @p root.
+     * The tree @p scheme routes to the set @p dests (N bits; nothing
+     * if empty); Combined prices the schemes in closed form
+     * (schemeCosts) and walks only SchemeCosts::cheapest(). Scheme 1
+     * walks one path per destination, ascending, each from @p root.
      *
      * @return the scheme walked
+     */
+    template <class Value, class Visit>
+    Scheme walk(Scheme scheme, NodeId src, const DynamicBitset &dests,
+                Bits payload_bits, Value root, Visit &&visit) const;
+
+    /**
+     * The same for a list, walked as listed: scheme 1 walks one path
+     * per entry in list order, scheme 3 the cube enclosing the list
+     * (Topo::enclosing). The trace builders walk this way, so it is
+     * the reference the set walk is tested against.
      */
     template <class Value, class Visit>
     Scheme walk(Scheme scheme, NodeId src,
@@ -214,8 +250,23 @@ class BasicOmegaNetwork
                       Bits payload_bits,
                       std::vector<Traversal> &trace) const;
 
-    /** Load @p dests into the reusable scheme-2 scratch vector. */
-    void fillScratchVector(const std::vector<NodeId> &dests) const;
+    /** schemeCosts() of the non-empty @p dests, leaving scheme 3's
+     *  enclosing cube in @p cube. */
+    SchemeCosts price(const DynamicBitset &dests, Bits payload_bits,
+                      Cube &cube) const;
+
+    /** Scheme 1's cost per destination: m+1 links with m-l digits
+     *  of header at level l, independent of the endpoints. */
+    Bits
+    unicastCost(Bits payload_bits) const
+    {
+        const unsigned m = topo.numStages();
+        return Bits{m + 1} * payload_bits +
+            Bits{topo.digitBits()} * m * (m + 1) / 2;
+    }
+
+    /** Load @p dests into the reusable scratch set. */
+    void loadScratch(const std::vector<NodeId> &dests) const;
 
     void
     checkPort(NodeId p) const
@@ -224,17 +275,28 @@ class BasicOmegaNetwork
                  p, topo.numPorts());
     }
 
+    void
+    checkDests(const DynamicBitset &dests) const
+    {
+        panic_if(dests.size() != topo.numPorts(),
+                 "destination set of %zu bits on an N=%u network",
+                 dests.size(), topo.numPorts());
+    }
+
     Topo topo;
     LinkStats stats;
+    /** spanSuffix[l]: span(l) + ... + span(m), the subvector bits
+     *  one scheme-2 path carries on levels l..m. */
+    std::array<Bits, MaxStages + 2> spanSuffix{};
     /**
-     * Reusable scratch of the walks: the scheme-2 destination
-     * vector and walkTree's explicit stack. A network is single-run
-     * state (the parallel sweep gives every run its own network), so
+     * Reusable scratch: the destination set of the list adapters
+     * and walkTree's explicit stack. A network is single-run state
+     * (the parallel sweep gives every run its own network), so
      * mutable scratch is safe and keeps every walk allocation-free.
      * The stack holds m(a-1)+1 frames: at most a-1 pending siblings
      * on each of the first m-1 levels plus one switch's a outputs.
      */
-    mutable DynamicBitset scratchVector;
+    mutable DynamicBitset scratchDests;
     mutable std::vector<WalkFrame> walkStack;
 };
 
@@ -272,9 +334,7 @@ BasicOmegaNetwork<Topo>::walkVector(NodeId src,
                                     Bits payload_bits, Value root,
                                     Visit &visit) const
 {
-    panic_if(dests.size() != topo.numPorts(),
-             "scheme-2 vector size %zu != N=%u", dests.size(),
-             topo.numPorts());
+    checkDests(dests);
     if (dests.none())
         return;
     // The subvector goes out on every output whose share of the
@@ -354,17 +414,54 @@ template <class Topo>
 template <class Value, class Visit>
 Scheme
 BasicOmegaNetwork<Topo>::walk(Scheme scheme, NodeId src,
+                              const DynamicBitset &dests,
+                              Bits payload_bits, Value root,
+                              Visit &&visit) const
+{
+    checkDests(dests);
+    if (dests.none())
+        return scheme;
+    Cube cube;
+    if (scheme == Scheme::Combined || scheme == Scheme::BroadcastTag) {
+        const SchemeCosts costs = price(dests, payload_bits, cube);
+        if (scheme == Scheme::Combined)
+            scheme = costs.cheapest();
+    }
+    switch (scheme) {
+      case Scheme::Unicasts:
+        for (std::size_t d = dests.findFirst(); d < dests.size();
+             d = dests.findNext(d)) {
+            walkUnicast(src, static_cast<NodeId>(d), payload_bits,
+                        root, visit);
+        }
+        break;
+      case Scheme::VectorRouting:
+        walkVector(src, dests, payload_bits, root, visit);
+        break;
+      case Scheme::BroadcastTag:
+        walkBroadcast(src, cube, payload_bits, root, visit);
+        break;
+      case Scheme::Combined:
+        break; // resolved above
+    }
+    return scheme;
+}
+
+template <class Topo>
+template <class Value, class Visit>
+Scheme
+BasicOmegaNetwork<Topo>::walk(Scheme scheme, NodeId src,
                               const std::vector<NodeId> &dests,
                               Bits payload_bits, Value root,
                               Visit &&visit) const
 {
     if (dests.empty())
         return scheme;
-    bool vector_loaded = false;
+    bool loaded = false;
     if (scheme == Scheme::Combined) {
-        // schemeCosts() leaves dests in the scratch vector.
+        // schemeCosts() leaves dests in the scratch set.
         scheme = schemeCosts(src, dests, payload_bits).cheapest();
-        vector_loaded = true;
+        loaded = true;
     }
     switch (scheme) {
       case Scheme::Unicasts:
@@ -372,9 +469,9 @@ BasicOmegaNetwork<Topo>::walk(Scheme scheme, NodeId src,
             walkUnicast(src, d, payload_bits, root, visit);
         break;
       case Scheme::VectorRouting:
-        if (!vector_loaded)
-            fillScratchVector(dests);
-        walkVector(src, scratchVector, payload_bits, root, visit);
+        if (!loaded)
+            loadScratch(dests);
+        walkVector(src, scratchDests, payload_bits, root, visit);
         break;
       case Scheme::BroadcastTag:
         walkBroadcast(src, topo.enclosing(dests), payload_bits, root,

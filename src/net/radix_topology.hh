@@ -109,6 +109,35 @@ class RadixOmegaTopology
         return RadixSubcube::enclosing(*this, dests);
     }
 
+    /**
+     * Grow @p cube, the smallest cube enclosing the destinations
+     * seen so far (Cube{first, 0} after the first), to enclose
+     * @p dest too: the same cube as enclosing() of them all.
+     */
+    void
+    enclose(Cube &cube, unsigned dest) const
+    {
+        for (unsigned d = 0; d < m; ++d) {
+            if ((dest / pow_a[d]) % a != (cube.base / pow_a[d]) % a)
+                cube.mask |= 1u << d;
+        }
+    }
+
+    /**
+     * Divergence level of destinations @p x != @p y: the first link
+     * level at which their paths from one source use different
+     * links. A level-l link reaches the destinations of one l-digit
+     * prefix, so it is one past their first differing digit.
+     */
+    unsigned
+    divergence(unsigned x, unsigned y) const
+    {
+        unsigned level = 1;
+        while (x / pow_a[m - level] == y / pow_a[m - level])
+            ++level;
+        return level;
+    }
+
   private:
     unsigned n;
     unsigned a;

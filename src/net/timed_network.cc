@@ -131,6 +131,17 @@ TimedNetwork::sendUnicast(NodeId src, NodeId dst, Bits payload_bits,
 
 Tick
 TimedNetwork::sendMulticast(Scheme scheme, NodeId src,
+                            const DynamicBitset &dests,
+                            Bits payload_bits,
+                            const DeliveryFn &on_delivery)
+{
+    return sendTree(on_delivery, [&](Tick now, auto &&visit) {
+        net.walk(scheme, src, dests, payload_bits, now, visit);
+    });
+}
+
+Tick
+TimedNetwork::sendMulticast(Scheme scheme, NodeId src,
                             const std::vector<NodeId> &dests,
                             Bits payload_bits,
                             const DeliveryFn &on_delivery)

@@ -92,12 +92,16 @@ class TimedNetwork
      * choice) reserves each link as it visits it and schedules one
      * callback per delivery at its contention-aware arrival tick.
      * Every link's bits are also committed to the functional link
-     * statistics.
+     * statistics. A multicast's @p dests is a set of N bits, or a
+     * list (OmegaNetwork::walk()'s adapter).
      *
      * @return tick of the last delivery
      */
     Tick sendUnicast(NodeId src, NodeId dst, Bits payload_bits,
                      const DeliveryFn &on_delivery);
+    Tick sendMulticast(Scheme scheme, NodeId src,
+                       const DynamicBitset &dests, Bits payload_bits,
+                       const DeliveryFn &on_delivery);
     Tick sendMulticast(Scheme scheme, NodeId src,
                        const std::vector<NodeId> &dests,
                        Bits payload_bits,

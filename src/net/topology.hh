@@ -18,6 +18,7 @@
 #ifndef MSCP_NET_TOPOLOGY_HH
 #define MSCP_NET_TOPOLOGY_HH
 
+#include <bit>
 #include <vector>
 
 #include "net/route.hh"
@@ -134,6 +135,30 @@ class OmegaTopology
     enclosing(const std::vector<NodeId> &dests) const
     {
         return Subcube::enclosing(dests);
+    }
+
+    /**
+     * Grow @p cube, the smallest cube enclosing the destinations
+     * seen so far (Cube{first, 0} after the first), to enclose
+     * @p dest too: the same cube as enclosing() of them all.
+     */
+    static void
+    enclose(Cube &cube, unsigned dest)
+    {
+        cube.mask |= cube.base ^ dest;
+        cube.base &= ~cube.mask;
+    }
+
+    /**
+     * Divergence level of destinations @p x != @p y: the first link
+     * level at which their paths from one source use different
+     * links. A level-l link reaches the destinations of one l-bit
+     * prefix, so it is one past their first differing bit.
+     */
+    unsigned
+    divergence(unsigned x, unsigned y) const
+    {
+        return m + 1 - static_cast<unsigned>(std::bit_width(x ^ y));
     }
 
   private:

@@ -80,6 +80,7 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
     mem = mem::MemoryModule(invalidNode, params.geometry.blockWords);
     seqSeen.assign(std::size_t{n} * n, 0);
     deadNodes = NodeSet(n);
+    destScratch.resizeCleared(n);
 }
 
 const MetricsRegistry &
@@ -143,17 +144,12 @@ ConcurrentProtocol::findEntry(NodeId cpu, BlockId blk)
     return caches[cpu].find(blk);
 }
 
-const std::vector<NodeId> &
+const DynamicBitset &
 ConcurrentProtocol::othersPresent(const Entry &e, NodeId self)
 {
-    presentScratch.clear();
-    const DynamicBitset &p = e.field.present;
-    for (std::size_t i = p.findFirst(); i < p.size();
-         i = p.findNext(i)) {
-        if (i != self)
-            presentScratch.push_back(static_cast<NodeId>(i));
-    }
-    return presentScratch;
+    destScratch = e.field.present;
+    destScratch.reset(self);
+    return destScratch;
 }
 
 void
@@ -367,20 +363,19 @@ ConcurrentProtocol::send(const Msg &m)
 
 void
 ConcurrentProtocol::sendMulticastMsg(MsgType t, NodeId src,
-                                     const std::vector<NodeId> &
-                                         dests,
+                                     const DynamicBitset &dests,
                                      Bits payload, BlockId blk,
                                      unsigned offset,
                                      std::uint64_t value,
                                      NodeId aux_owner)
 {
-    if (dests.empty())
+    if (dests.none())
         return;
     Bits total = params.sizes.control() + payload;
     msgs.record(t, total);
     // node2 carries the destination count for multicasts.
     trace(TraceEvent::Send, src,
-          static_cast<NodeId>(dests.size()),
+          static_cast<NodeId>(dests.count()),
           static_cast<std::uint8_t>(t), 0, blk);
     Msg proto_msg{.type = t, .src = src, .blk = blk,
                   .requester = aux_owner, .offset = offset,
@@ -390,9 +385,10 @@ ConcurrentProtocol::sendMulticastMsg(MsgType t, NodeId src,
         // subcube overshoot is not modeled: overshoot deliveries
         // are ignored by every handler, so the explored behavior
         // is that of an exact multicast.
-        for (NodeId d : dests) {
+        for (std::size_t d = dests.findFirst(); d < dests.size();
+             d = dests.findNext(d)) {
             Msg copy = proto_msg;
-            copy.dst = d;
+            copy.dst = static_cast<NodeId>(d);
             vBuffer(copy);
         }
         return;

@@ -842,9 +842,10 @@ class ConcurrentProtocol : private ConcurrentState
 
     /** @{ message plumbing, dispatch and run loop (concurrent.cc) */
     void send(const Msg &m);
+    /** Multicast to the set @p dests (N bits; nothing if empty). */
     void sendMulticastMsg(MsgType t, NodeId src,
-                          const std::vector<NodeId> &dests,
-                          Bits payload, BlockId blk, unsigned offset,
+                          const DynamicBitset &dests, Bits payload,
+                          BlockId blk, unsigned offset,
                           std::uint64_t value, NodeId aux_owner);
     /** A bare ack/nack: endpoints, block and an echoed seq only. */
     void sendAck(MsgType t, NodeId src, NodeId dst, BlockId blk,
@@ -875,13 +876,12 @@ class ConcurrentProtocol : private ConcurrentState
     void vBuffer(const Msg &m);
     Entry *findEntry(NodeId cpu, BlockId blk);
     /**
-     * Present-vector members other than @p self, in a reusable
-     * scratch vector. Valid until the next call; the engine is
-     * strictly single-threaded and callers consume the list before
-     * any code path that could refill it.
+     * Present-vector members other than @p self, in the scratch
+     * destination set. Valid until the scratch is next filled; the
+     * engine is strictly single-threaded and callers consume the
+     * set before any code path that could refill it.
      */
-    const std::vector<NodeId> &othersPresent(const Entry &e,
-                                             NodeId self);
+    const DynamicBitset &othersPresent(const Entry &e, NodeId self);
     void maybeExclusive(Entry &e, NodeId self);
     /** @} */
 
@@ -936,7 +936,7 @@ class ConcurrentProtocol : private ConcurrentState
     {
         return static_cast<NodeId>(cs.candidates.findNth(cs.candIdx));
     }
-    void expectAcks(CpuState &cs, const std::vector<NodeId> &from);
+    void expectAcks(CpuState &cs, const DynamicBitset &from);
     /** Count one ack; the last completes the write or eviction. */
     void takeAck(NodeId cpu, NodeId from);
     void handleOwnershipMsg(const Msg &m);
@@ -1096,9 +1096,9 @@ class ConcurrentProtocol : private ConcurrentState
     std::deque<MsgSlot> msgSlab;
     std::uint32_t freeSlot = NoSlot;
 
-    /** Scratch lists (see othersPresent). */
-    std::vector<NodeId> presentScratch;
-    std::vector<NodeId> announceScratch;
+    /** Scratch destination set of the multicast being sent (see
+     *  othersPresent). */
+    DynamicBitset destScratch;
 
     /** @{ model-checker controlled mode (src/verify). All gates
      *  check vControlled first, so normal runs take the exact same

@@ -133,8 +133,8 @@ ConcurrentProtocol::sendNextOffer(NodeId cpu)
     if (cs.candIdx >= ncand) {
         // Everyone declined: invalidate the remaining copies, then
         // write back and clear the block store (terminal rule).
-        const auto &dests = othersPresent(*ve, cpu);
-        if (dests.empty()) {
+        const DynamicBitset &dests = othersPresent(*ve, cpu);
+        if (dests.none()) {
             finishEviction(cpu, true, ve->field.modified);
             return;
         }
@@ -202,25 +202,19 @@ ConcurrentProtocol::announceOwner(NodeId from,
                                   const DynamicBitset &p,
                                   BlockId blk, NodeId owner)
 {
-    announceScratch.clear();
-    for (std::size_t i = p.findFirst(); i < p.size();
-         i = p.findNext(i)) {
-        if (i != owner && i != from)
-            announceScratch.push_back(static_cast<NodeId>(i));
-    }
-    sendMulticastMsg(MsgType::OwnerAnnounce, from, announceScratch,
+    destScratch = p;
+    destScratch.reset(owner);
+    destScratch.reset(from);
+    sendMulticastMsg(MsgType::OwnerAnnounce, from, destScratch,
                      params.sizes.ownerIdPayload(numCaches()), blk, 0,
                      owner, owner);
 }
 
 void
-ConcurrentProtocol::expectAcks(CpuState &cs,
-                               const std::vector<NodeId> &from)
+ConcurrentProtocol::expectAcks(CpuState &cs, const DynamicBitset &from)
 {
-    cs.ackFrom.clear();
-    for (NodeId d : from)
-        cs.ackFrom.set(d);
-    cs.pendingAcks = static_cast<unsigned>(from.size());
+    cs.ackFrom.assign(from);
+    cs.pendingAcks = static_cast<unsigned>(from.count());
 }
 
 void

@@ -194,13 +194,8 @@ ConcurrentProtocol::onTimeout(NodeId cpu, std::uint64_t seq)
         trace(TraceEvent::Retry, cpu, cpu,
               static_cast<std::uint8_t>(cs.phase), cs.opId,
               cs.attempts);
-        std::vector<NodeId> &rest = presentScratch;
-        rest.clear();
-        const NodeSet &a = cs.ackFrom;
-        for (std::size_t i = a.findFirst(); i < a.size();
-             i = a.findNext(i)) {
-            rest.push_back(static_cast<NodeId>(i));
-        }
+        DynamicBitset &rest = destScratch;
+        cs.ackFrom.copyTo(rest);
         if (cs.phase == Phase::WaitDwAcks) {
             sendMulticastMsg(MsgType::DwUpdate, cpu, rest,
                              params.sizes.wordBits, blk,

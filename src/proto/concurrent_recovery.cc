@@ -205,13 +205,14 @@ ConcurrentProtocol::startRecovery(BlockId blk, NodeId suspected)
     RecoveryCtx ctx;
     ctx.blk = blk;
     ctx.pending = NodeSet(cpus.size());
-    std::vector<NodeId> dests;
+    DynamicBitset &dests = destScratch;
+    dests.clear();
     for (NodeId c = 0; c < cpus.size(); ++c) {
         if (deadNodes.test(c))
             continue;
         ctx.pending.set(c);
         if (c != home)
-            dests.push_back(c);
+            dests.set(c);
     }
     recoveries.push_back(ctx);
     sendMulticastMsg(MsgType::RecoveryPurge, home, dests, 0, blk,

@@ -210,8 +210,8 @@ ConcurrentProtocol::performOwnedWrite(NodeId cpu)
     }
 
     if (e->field.state == State::OwnedNonExclDW) {
-        const auto &dests = othersPresent(*e, cpu);
-        if (!dests.empty()) {
+        const DynamicBitset &dests = othersPresent(*e, cpu);
+        if (dests.any()) {
             ++ctrs.dwUpdates;
             expectAcks(cs, dests);
             mark(cpu, blk, PinnedTx);

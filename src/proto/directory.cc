@@ -10,57 +10,53 @@ DirectoryProtocol::DirectoryProtocol(net::OmegaNetwork &network,
                                      unsigned block_words,
                                      net::Scheme scheme)
     : CoherenceProtocol(network, sizes, block_words), scheme(scheme),
-      caches(network.numPorts())
+      caches(network.numPorts()), destScratch(network.numPorts())
 {}
 
 DirectoryProtocol::DirEntry &
 DirectoryProtocol::dir(BlockId block)
 {
-    auto it = directory.find(block);
-    if (it == directory.end()) {
-        DirEntry d;
-        d.sharers = DynamicBitset(
-            static_cast<unsigned>(caches.size()));
-        it = directory.emplace(block, std::move(d)).first;
-    }
-    return it->second;
+    if (DirEntry *d = directory.find(block))
+        return *d;
+    DirEntry &d = directory[block];
+    d.sharers.resizeCleared(caches.size());
+    return d;
 }
 
 const DirectoryProtocol::DirEntry *
 DirectoryProtocol::dirEntry(BlockId block) const
 {
-    auto it = directory.find(block);
-    return it == directory.end() ? nullptr : &it->second;
+    return directory.find(block);
 }
 
 DirectoryProtocol::Line *
 DirectoryProtocol::findLine(NodeId cpu, BlockId blk)
 {
-    auto it = caches[cpu].find(blk);
-    return it == caches[cpu].end() ? nullptr : &it->second;
+    Line *l = caches[cpu].find(blk);
+    return l && l->valid ? l : nullptr;
 }
 
-std::vector<NodeId>
+const DynamicBitset &
 DirectoryProtocol::otherSharers(const DirEntry &d, NodeId except)
 {
-    std::vector<NodeId> out;
-    for (auto s : d.sharers.setBits())
-        if (s != except)
-            out.push_back(s);
-    return out;
+    destScratch = d.sharers;
+    destScratch.reset(except);
+    return destScratch;
 }
 
 void
 DirectoryProtocol::invalidateSharers(BlockId blk, DirEntry &d,
                                      NodeId except)
 {
-    std::vector<NodeId> dests = otherSharers(d, except);
-    if (dests.empty())
+    const DynamicBitset &dests = otherSharers(d, except);
+    if (dests.none())
         return;
     sendMulticast(MsgType::Invalidate, scheme, homeOf(blk), dests, 0);
     ++ctrs.invalidations;
-    for (NodeId s : dests) {
-        caches[s].erase(blk);
+    for (std::size_t s = dests.findFirst(); s < dests.size();
+         s = dests.findNext(s)) {
+        if (Line *l = findLine(static_cast<NodeId>(s), blk))
+            l->valid = false;
         d.sharers.reset(s);
     }
 }
@@ -99,8 +95,10 @@ DirectoryProtocol::fetchBlock(NodeId cpu, BlockId blk, LineState state)
     sendUnicast(MsgType::DataBlock, home, cpu,
                 sizes.blockPayload(blockWords));
     Line &l = caches[cpu][blk];
+    l.valid = true;
     l.state = state;
-    l.data = memories[home].readBlock(blk);
+    l.data.resize(blockWords);
+    memories[home].readBlock(blk, l.data);
     d.sharers.set(cpu);
     if (exclusive)
         d.dirtyOwner = cpu;

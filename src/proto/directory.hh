@@ -13,19 +13,21 @@
  *
  * The baselines model the paper's evaluation assumption that the
  * cache is big enough for the shared data structure: lines are
- * stored in unbounded per-cache maps and capacity replacement is
- * not modelled (capacity effects are studied with the Stenstrom
- * engine, which has real geometry).
+ * stored in unbounded per-cache flat maps and capacity replacement
+ * is not modelled (capacity effects are studied with the Stenstrom
+ * engine, which has real geometry). An invalidated line keeps its
+ * slot and its words, marked invalid, so a later miss on the block
+ * refills them in place: the steady state allocates nothing.
  */
 
 #ifndef MSCP_PROTO_DIRECTORY_HH
 #define MSCP_PROTO_DIRECTORY_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "proto/protocol.hh"
 #include "sim/bitset.hh"
+#include "sim/flat.hh"
 
 namespace mscp::proto
 {
@@ -78,14 +80,17 @@ class DirectoryProtocol : public CoherenceProtocol
      */
     enum class LineState : std::uint8_t { Shared, Reserved, Dirty };
 
-    /** One cached line. */
+    /** One cached line, or (valid clear) an invalidated one kept
+     *  for its storage. */
     struct Line
     {
+        bool valid = false;
         LineState state = LineState::Shared;
         std::vector<std::uint64_t> data;
     };
 
     DirEntry &dir(BlockId block);
+    /** @p cpu's valid line of @p blk, or nullptr. */
     Line *findLine(NodeId cpu, BlockId blk);
 
     /**
@@ -99,16 +104,19 @@ class DirectoryProtocol : public CoherenceProtocol
     /** Invalidate every sharer except @p except. */
     void invalidateSharers(BlockId blk, DirEntry &d, NodeId except);
 
-    /** Sharers of @p d other than @p except, ascending. */
-    static std::vector<NodeId> otherSharers(const DirEntry &d,
-                                            NodeId except);
+    /** Sharers of @p d other than @p except, in the scratch set:
+     *  valid until the next call. */
+    const DynamicBitset &otherSharers(const DirEntry &d,
+                                      NodeId except);
 
     const net::Scheme scheme;
     DirectoryCounters ctrs;
 
   private:
-    std::vector<std::unordered_map<BlockId, Line>> caches;
-    std::unordered_map<BlockId, DirEntry> directory;
+    std::vector<FlatMap<BlockId, Line>> caches;
+    FlatMap<BlockId, DirEntry> directory;
+    /** The destination set of the multicast being sent. */
+    DynamicBitset destScratch;
 };
 
 } // namespace mscp::proto

@@ -29,13 +29,14 @@ DragonUpdateProtocol::write(NodeId cpu, Addr addr,
     memories[home].writeWord(blk, off, value);
     ++ctrs.writeThroughs;
 
-    std::vector<NodeId> dests = otherSharers(dir(blk), cpu);
-    if (!dests.empty()) {
+    const DynamicBitset &dests = otherSharers(dir(blk), cpu);
+    if (dests.any()) {
         sendMulticast(MsgType::DwUpdate, scheme, home, dests,
                       sizes.wordBits);
         ++ctrs.updates;
-        for (NodeId s : dests) {
-            Line *sl = findLine(s, blk);
+        for (std::size_t s = dests.findFirst(); s < dests.size();
+             s = dests.findNext(s)) {
+            Line *sl = findLine(static_cast<NodeId>(s), blk);
             panic_if(!sl, "sharer lost its line");
             sl->data[off] = value;
         }

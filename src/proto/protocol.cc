@@ -31,15 +31,20 @@ CoherenceProtocol::sendUnicast(MsgType t, NodeId src, NodeId dst,
 void
 CoherenceProtocol::sendMulticast(MsgType t, net::Scheme scheme,
                                  NodeId src,
-                                 const std::vector<NodeId> &dests,
+                                 const DynamicBitset &dests,
                                  Bits payload)
 {
-    if (dests.empty())
+    if (dests.none())
         return;
     Bits total = sizes.control() + payload;
     msgs.record(t, total);
-    if (recorder)
-        recorder({t, src, dests, total, scheme});
+    if (recorder) {
+        SentMessage m{t, src, {}, total, scheme};
+        for (std::size_t d = dests.findFirst(); d < dests.size();
+             d = dests.findNext(d))
+            m.dests.push_back(static_cast<NodeId>(d));
+        recorder(m);
+    }
     net.multicastCommit(scheme, src, dests, total);
 }
 

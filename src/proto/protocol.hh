@@ -24,6 +24,7 @@
 #include "mem/memory_module.hh"
 #include "net/omega_network.hh"
 #include "proto/message.hh"
+#include "sim/bitset.hh"
 #include "sim/types.hh"
 #include "workload/ref_stream.hh"
 
@@ -124,10 +125,10 @@ class CoherenceProtocol
      */
     void sendUnicast(MsgType t, NodeId src, NodeId dst, Bits payload);
 
-    /** Multicast with a given scheme; @p dests may be empty. */
+    /** Multicast to the set @p dests (N bits, possibly empty) with
+     *  a given scheme. */
     void sendMulticast(MsgType t, net::Scheme scheme, NodeId src,
-                       const std::vector<NodeId> &dests,
-                       Bits payload);
+                       const DynamicBitset &dests, Bits payload);
 
     /** Record a golden write / check a read. */
     void goldenWrite(Addr addr, std::uint64_t value);

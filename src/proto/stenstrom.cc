@@ -13,7 +13,7 @@ using cache::State;
 StenstromProtocol::StenstromProtocol(net::OmegaNetwork &network,
                                      StenstromParams p)
     : CoherenceProtocol(network, p.sizes, p.geometry.blockWords),
-      params(p)
+      params(p), destScratch(network.numPorts())
 {
     params.geometry.check();
     unsigned n = network.numPorts();
@@ -36,14 +36,12 @@ StenstromProtocol::ownerEntry(NodeId owner, BlockId blk)
     return *e;
 }
 
-std::vector<NodeId>
-StenstromProtocol::othersPresent(const Entry &e, NodeId self) const
+const DynamicBitset &
+StenstromProtocol::othersPresent(const Entry &e, NodeId self)
 {
-    std::vector<NodeId> out;
-    for (auto i : e.field.present.setBits())
-        if (i != self)
-            out.push_back(i);
-    return out;
+    destScratch = e.field.present;
+    destScratch.reset(self);
+    return destScratch;
 }
 
 void
@@ -222,12 +220,13 @@ StenstromProtocol::writeOwned(NodeId cpu, Entry &e, BlockId blk,
 
     if (e.field.state == State::OwnedNonExclDW) {
         // 3-(b): distribute the write to every present copy.
-        auto dests = othersPresent(e, cpu);
+        const DynamicBitset &dests = othersPresent(e, cpu);
         multicast(MsgType::DwUpdate, cpu, dests, sizes.wordBits);
         ++ctrs.dwUpdates;
-        for (NodeId d : dests) {
+        for (std::size_t d = dests.findFirst(); d < dests.size();
+             d = dests.findNext(d)) {
             Entry *de = caches[d].find(blk);
-            panic_if(!de, "present flag set for cache %u with no "
+            panic_if(!de, "present flag set for cache %zu with no "
                      "entry", d);
             // Invalid (pointer) entries ignore the update; valid
             // UnOwned copies apply it.
@@ -315,7 +314,7 @@ StenstromProtocol::fillUncached(NodeId cpu, BlockId blk)
     sendUnicast(MsgType::DataBlock, home, cpu,
                 sizes.blockPayload(blockWords));
     Entry &e = allocateEntry(cpu, blk);
-    e.data = mm.readBlock(blk);
+    mm.readBlock(blk, e.data);
     e.field.state = cache::ownedState(params.defaultMode, true);
     e.field.modified = false;
     e.field.present.clear();
@@ -373,16 +372,17 @@ StenstromProtocol::announceOwner(NodeId old_owner, NodeId new_owner,
                                  BlockId blk,
                                  const DynamicBitset &present)
 {
-    std::vector<NodeId> dests;
-    for (auto i : present.setBits())
-        if (i != new_owner && i != old_owner)
-            dests.push_back(i);
-    if (dests.empty())
+    destScratch = present;
+    destScratch.reset(new_owner);
+    destScratch.reset(old_owner);
+    const DynamicBitset &dests = destScratch;
+    if (dests.none())
         return;
     multicast(MsgType::OwnerAnnounce, old_owner, dests,
               sizes.ownerIdPayload(numCaches()));
     ++ctrs.ownerAnnounces;
-    for (NodeId d : dests) {
+    for (std::size_t d = dests.findFirst(); d < dests.size();
+         d = dests.findNext(d)) {
         Entry *de = caches[d].find(blk);
         if (de && de->field.state == State::Invalid)
             de->field.owner = new_owner;
@@ -462,7 +462,14 @@ StenstromProtocol::handoffOwnership(NodeId cpu, Entry &victim)
     auto &mm = memories[home];
     Mode m = cache::modeOf(victim.field.state);
 
-    for (NodeId j : othersPresent(victim, cpu)) {
+    // Offer in ascending order. The loop reads the victim's present
+    // vector itself: announceOwner() below refills the scratch set.
+    const DynamicBitset &present = victim.field.present;
+    for (std::size_t jj = present.findFirst(); jj < present.size();
+         jj = present.findNext(jj)) {
+        const auto j = static_cast<NodeId>(jj);
+        if (j == cpu)
+            continue;
         sendUnicast(MsgType::OfferOwner, cpu, j, 0);
         Entry *je = caches[j].find(vb);
         bool nack = !je ||
@@ -515,11 +522,12 @@ StenstromProtocol::allNackFallback(NodeId cpu, Entry &victim)
     // if modified and clears the block store entry.
     ++ctrs.handoffFallbacks;
     BlockId vb = victim.block;
-    auto dests = othersPresent(victim, cpu);
-    if (!dests.empty()) {
+    const DynamicBitset &dests = othersPresent(victim, cpu);
+    if (dests.any()) {
         multicast(MsgType::Invalidate, cpu, dests, 0);
         ++ctrs.invalidations;
-        for (NodeId d : dests) {
+        for (std::size_t d = dests.findFirst(); d < dests.size();
+             d = dests.findNext(d)) {
             Entry *de = caches[d].find(vb);
             if (de)
                 caches[d].evict(*de);
@@ -556,11 +564,12 @@ StenstromProtocol::setMode(NodeId cpu, Addr addr, cache::Mode mode)
         // 7: invalidate every copy; holders keep OWNER pointers, so
         // the present vector now tracks invalid copies.
         if (e->field.state == State::OwnedNonExclDW) {
-            auto dests = othersPresent(*e, cpu);
+            const DynamicBitset &dests = othersPresent(*e, cpu);
             multicast(MsgType::Invalidate, cpu, dests,
                       sizes.ownerIdPayload(numCaches()));
             ++ctrs.invalidations;
-            for (NodeId d : dests) {
+            for (std::size_t d = dests.findFirst(); d < dests.size();
+                 d = dests.findNext(d)) {
                 Entry *de = caches[d].find(blk);
                 panic_if(!de, "present copy vanished");
                 de->field.state = State::Invalid;
@@ -575,9 +584,10 @@ StenstromProtocol::setMode(NodeId cpu, Addr addr, cache::Mode mode)
         // OWNER pointers of the invalid copies are dropped so the
         // present vector again tracks valid copies only.
         if (e->field.state == State::OwnedNonExclGR) {
-            auto dests = othersPresent(*e, cpu);
+            const DynamicBitset &dests = othersPresent(*e, cpu);
             multicast(MsgType::DropPointer, cpu, dests, 0);
-            for (NodeId d : dests) {
+            for (std::size_t d = dests.findFirst(); d < dests.size();
+                 d = dests.findNext(d)) {
                 Entry *de = caches[d].find(blk);
                 if (de)
                     caches[d].evict(*de);
@@ -591,11 +601,10 @@ StenstromProtocol::setMode(NodeId cpu, Addr addr, cache::Mode mode)
 
 void
 StenstromProtocol::multicast(MsgType t, NodeId src,
-                             const std::vector<NodeId> &dests,
-                             Bits payload)
+                             const DynamicBitset &dests, Bits payload)
 {
     net::Scheme scheme = params.schemePolicy
-        ? params.schemePolicy(static_cast<unsigned>(dests.size()))
+        ? params.schemePolicy(static_cast<unsigned>(dests.count()))
         : params.multicastScheme;
     sendMulticast(t, scheme, src, dests, payload);
 }

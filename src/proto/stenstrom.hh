@@ -209,14 +209,16 @@ class StenstromProtocol : public CoherenceProtocol
     /** Owner-side entry, asserting protocol invariants. */
     Entry &ownerEntry(NodeId owner, BlockId blk);
 
-    /** Present-set members other than @p self. */
-    std::vector<NodeId> othersPresent(const Entry &e,
-                                      NodeId self) const;
+    /**
+     * Present-set members other than @p self, in the scratch set:
+     * valid until the next othersPresent() or announceOwner().
+     */
+    const DynamicBitset &othersPresent(const Entry &e, NodeId self);
 
     /** Multicast with the configured scheme or, if set, the scheme
      *  policy's choice for this destination count. */
-    void multicast(MsgType t, NodeId src,
-                   const std::vector<NodeId> &dests, Bits payload);
+    void multicast(MsgType t, NodeId src, const DynamicBitset &dests,
+                   Bits payload);
 
     /** Collapse to exclusive when the present set is only self. */
     void maybeExclusive(Entry &e, NodeId self);
@@ -225,6 +227,8 @@ class StenstromProtocol : public CoherenceProtocol
     StenstromCounters ctrs;
     std::vector<cache::CacheArray> caches;
     NackInjector nackInjector;
+    /** The destination set of the multicast being sent. */
+    DynamicBitset destScratch;
 };
 
 } // namespace mscp::proto

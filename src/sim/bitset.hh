@@ -163,17 +163,6 @@ class DynamicBitset
         words.assign(w, w + (n + 63) / 64);
     }
 
-    /** Indices of all set bits, ascending. */
-    std::vector<std::uint32_t>
-    setBits() const
-    {
-        std::vector<std::uint32_t> out;
-        out.reserve(count());
-        for (std::size_t i = findFirst(); i < nbits; i = findNext(i))
-            out.push_back(static_cast<std::uint32_t>(i));
-        return out;
-    }
-
     bool
     operator==(const DynamicBitset &o) const
     {

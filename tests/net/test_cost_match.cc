@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "analytic/multicast_cost.hh"
+#include "bitset_oracle.hh"
 #include "net/omega_network.hh"
 #include "net/timed_network.hh"
 #include "sim/random.hh"
@@ -38,6 +41,27 @@ clusterDests(unsigned n, unsigned base = 0)
     for (unsigned j = 0; j < n; ++j)
         d[j] = base + j;
     return d;
+}
+
+/** (destination, tick) of every delivery of two back-to-back timed
+ *  multicasts of @p dests (a set or a list), in delivery order. */
+template <class Dests>
+std::vector<std::pair<NodeId, Tick>>
+timedDeliveries(unsigned num_ports, Scheme scheme, NodeId src,
+                const Dests &dests, Bits payload)
+{
+    OmegaNetwork net(num_ports);
+    EventQueue eq;
+    TimedNetwork tn(net, eq);
+    std::vector<std::pair<NodeId, Tick>> got;
+    for (int send = 0; send < 2; ++send) {
+        tn.sendMulticast(scheme, src, dests, payload,
+                         [&got](NodeId d, Tick t) {
+                             got.emplace_back(d, t);
+                         });
+    }
+    eq.run();
+    return got;
 }
 
 struct Case
@@ -233,4 +257,34 @@ TEST(CostMatch, PerLevelBitsMatchEq3Table)
     EXPECT_EQ(r.bitsPerLevel[1], 2u * (20u + 4u));
     EXPECT_EQ(r.bitsPerLevel[2], 4u * (20u + 2u));
     EXPECT_EQ(r.bitsPerLevel[3], 4u * (20u + 1u));
+}
+
+TEST(CostMatch, BitsetPathsMatchTracesAndListsOn2x2)
+{
+    // Randomized oracle for the bitset paths on every 2x2 network
+    // from 2 to 256 ports: closed-form costs against the traced
+    // trees, committed links against the list adapter, and the
+    // timed layer's deliveries against its list overload.
+    Random rng(2024);
+    for (unsigned n = 2; n <= 256; n *= 2) {
+        OmegaNetwork shape(n);
+        for (int round = 0; round < 2; ++round) {
+            const auto src = static_cast<NodeId>(rng.uniform(0, n - 1));
+            for (const auto &dests : oracle::destSets(shape, src, rng)) {
+                SCOPED_TRACE(csprintf("N=%u src=%u |dests|=%zu", n, src,
+                                      dests.size()));
+                const Bits payload = rng.uniform(0, 100);
+                oracle::checkBitsetPaths([n] { return OmegaNetwork(n); },
+                                         src, dests, payload);
+                const DynamicBitset set = oracle::bitsOf(n, dests);
+                for (Scheme s : {Scheme::Unicasts, Scheme::VectorRouting,
+                                 Scheme::BroadcastTag,
+                                 Scheme::Combined}) {
+                    EXPECT_EQ(timedDeliveries(n, s, src, set, payload),
+                              timedDeliveries(n, s, src, dests, payload))
+                        << schemeName(s);
+                }
+            }
+        }
+    }
 }

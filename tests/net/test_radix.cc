@@ -12,6 +12,7 @@
 
 #include "analytic/multicast_cost.hh"
 #include "analytic/radix_cost.hh"
+#include "bitset_oracle.hh"
 #include "net/omega_network.hh"
 #include "sim/random.hh"
 
@@ -309,4 +310,28 @@ TEST(RadixSubcube, EnclosingAndMembers)
     EXPECT_EQ(cube.size(t), 4u);
     auto m = cube.members(t);
     EXPECT_EQ(m, (std::vector<NodeId>{1, 5, 9, 13}));
+}
+
+TEST(RadixNetwork, BitsetPathsMatchTracesAndLists)
+{
+    // The randomized oracle of the bitset paths (bitset_oracle.hh)
+    // on a x a switches, where the divergence level and the
+    // enclosing cube work on base-a digits.
+    Random rng(4096);
+    for (auto [a, m] : {std::pair{4u, 2u}, {4u, 3u}, {8u, 2u}}) {
+        unsigned n = 1;
+        for (unsigned i = 0; i < m; ++i)
+            n *= a;
+        RadixOmegaNetwork shape(n, a);
+        for (int round = 0; round < 2; ++round) {
+            const auto src = static_cast<NodeId>(rng.uniform(0, n - 1));
+            for (const auto &dests : oracle::destSets(shape, src, rng)) {
+                SCOPED_TRACE(csprintf("N=%u a=%u src=%u |dests|=%zu", n,
+                                      a, src, dests.size()));
+                oracle::checkBitsetPaths(
+                    [n, a] { return RadixOmegaNetwork(n, a); }, src,
+                    dests, rng.uniform(0, 100));
+            }
+        }
+    }
 }

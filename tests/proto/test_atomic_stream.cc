@@ -5,7 +5,8 @@
  * bare two-mode engine (GR, DW and the all-nack hand-off fallback),
  * byte-compared against a checked-in file. A restructuring of an
  * atomic engine that moves, drops or re-fields a single send
- * changes that run's hash.
+ * changes that run's hash. Once its caches and tables are warm, an
+ * atomic engine serves a reference without allocating.
  *
  * Regenerate after an intentional protocol change:
  *   MSCP_UPDATE_GOLDEN=1 ./test_atomic_stream
@@ -15,6 +16,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -35,6 +38,37 @@
 
 using namespace mscp;
 using namespace mscp::proto;
+
+// Every allocation in this binary goes through this counter, so a
+// test can assert that a stretch of engine work allocated nothing.
+// The replacements stay out of line: inlined into a container's
+// destructor, their free() would meet a pointer GCC knows came from
+// operator new, and -Wmismatched-new-delete would fire.
+namespace
+{
+std::size_t allocations = 0;
+} // anonymous namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t sz)
+{
+    ++allocations;
+    if (void *p = std::malloc(sz ? sz : 1))
+        return p;
+    throw std::bad_alloc{};
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -230,6 +264,13 @@ renderStenstrom(const char *name, cache::Mode mode, bool nack_all,
     return render(name, r, p, counterRows(ctrs), hash);
 }
 
+template <typename Proto>
+std::unique_ptr<CoherenceProtocol>
+makeBaseline(net::OmegaNetwork &net)
+{
+    return std::make_unique<Proto>(net, MessageSizes{}, blockWords);
+}
+
 std::string
 goldenPath()
 {
@@ -305,4 +346,67 @@ TEST(Atomic, MessageStreamMatchesGolden)
         << "atomic message stream drifted from the checked-in golden; "
            "if the change is intentional, regenerate with "
            "MSCP_UPDATE_GOLDEN=1";
+}
+
+TEST(Atomic, ReferencesAllocateNothingOnceWarm)
+{
+    // The seven engines of perfbench paper-grid, on its machine: 64
+    // ports, 32 adjacent tasks sharing 4 blocks. A first pass warms
+    // the caches, lines, directories and memory words; a second
+    // pass on a fresh stream must then not allocate at all.
+    constexpr unsigned gridPorts = 64;
+    constexpr unsigned gridBlocks = 4;
+    constexpr std::uint64_t passRefs = 15000;
+    auto stream = [](double w, std::uint64_t seed) {
+        workload::SharedBlockParams p;
+        p.placement = workload::adjacentPlacement(32);
+        p.writeFraction = w;
+        p.numBlocks = gridBlocks;
+        p.blockWords = blockWords;
+        p.baseAddr = Addr{gridPorts - gridBlocks} * blockWords;
+        p.numRefs = passRefs;
+        p.seed = seed;
+        return workload::SharedBlockWorkload(p);
+    };
+    auto check = [&](const char *name, double w, auto &&run) {
+        auto warm = stream(w, 1);
+        auto timed = stream(w, 2);
+        EXPECT_EQ(run(warm).refs, passRefs) << name;
+        const std::size_t before = allocations;
+        const RunResult r = run(timed);
+        const std::size_t allocated = allocations - before;
+        EXPECT_EQ(r.refs, passRefs) << name;
+        EXPECT_EQ(r.valueErrors, 0u) << name;
+        EXPECT_EQ(allocated, 0u) << name << csprintf(" w=%g", w);
+    };
+
+    using Factory =
+        std::unique_ptr<CoherenceProtocol> (*)(net::OmegaNetwork &);
+    const std::pair<const char *, Factory> baselines[] = {
+        {"no-cache", makeBaseline<NoCacheProtocol>},
+        {"write-once", makeBaseline<WriteOnceProtocol>},
+        {"full-map", makeBaseline<FullMapProtocol>},
+        {"dragon", makeBaseline<DragonUpdateProtocol>},
+    };
+    const std::pair<const char *, core::PolicyKind> policies[] = {
+        {"force-dw", core::PolicyKind::ForceDW},
+        {"force-gr", core::PolicyKind::ForceGR},
+        {"adaptive", core::PolicyKind::Adaptive},
+    };
+    for (double w : {0.1, 0.5}) {
+        for (const auto &[name, make] : baselines) {
+            net::OmegaNetwork net(gridPorts);
+            auto p = make(net);
+            check(name, w, [&p](auto &s) { return p->run(s); });
+        }
+        for (const auto &[name, policy] : policies) {
+            core::SystemConfig cfg;
+            cfg.numPorts = gridPorts;
+            cfg.geometry = cache::Geometry{blockWords, 16, 2};
+            cfg.policy = policy;
+            cfg.adaptWindow = 16;
+            core::System sys(cfg);
+            check(name, w, [&sys](auto &s) { return sys.run(s); });
+        }
+    }
 }
