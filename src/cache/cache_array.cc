@@ -9,11 +9,11 @@ CacheArray::CacheArray(const Geometry &geom, unsigned num_caches)
     : geom(geom), numCaches(num_caches)
 {
     geom.check();
-    entries.resize(static_cast<std::size_t>(geom.numSets) *
-                   geom.assoc);
+    entries.resize(static_cast<std::size_t>(geom.numSets()) *
+                   geom.assoc());
     for (auto &e : entries) {
         e.field = StateField(numCaches);
-        e.data.assign(geom.blockWords, 0);
+        e.data.assign(geom.blockWords(), 0);
     }
 }
 
@@ -21,14 +21,14 @@ Entry *
 CacheArray::setBase(BlockId block)
 {
     return &entries[static_cast<std::size_t>(geom.setOf(block)) *
-                    geom.assoc];
+                    geom.assoc()];
 }
 
 Entry *
 CacheArray::find(BlockId block)
 {
     Entry *base = setBase(block);
-    for (unsigned w = 0; w < geom.assoc; ++w) {
+    for (unsigned w = 0; w < geom.assoc(); ++w) {
         if (base[w].occupied && base[w].block == block)
             return &base[w];
     }
@@ -46,7 +46,7 @@ CacheArray::pickVictim(BlockId block)
 {
     Entry *base = setBase(block);
     Entry *lru = &base[0];
-    for (unsigned w = 0; w < geom.assoc; ++w) {
+    for (unsigned w = 0; w < geom.assoc(); ++w) {
         Entry &e = base[w];
         if (!e.occupied)
             return &e;
@@ -63,7 +63,7 @@ CacheArray::pickVictimFiltered(
 {
     Entry *base = setBase(block);
     Entry *lru = nullptr;
-    for (unsigned w = 0; w < geom.assoc; ++w) {
+    for (unsigned w = 0; w < geom.assoc(); ++w) {
         Entry &e = base[w];
         if (!e.occupied)
             return &e;
@@ -82,7 +82,7 @@ CacheArray::install(Entry &entry, BlockId block)
     entry.occupied = true;
     entry.block = block;
     entry.field.reset(numCaches);
-    entry.data.assign(geom.blockWords, 0);
+    entry.data.assign(geom.blockWords(), 0);
     touch(entry);
 }
 
@@ -91,7 +91,7 @@ CacheArray::evict(Entry &entry)
 {
     entry.occupied = false;
     entry.field.reset(numCaches);
-    entry.data.assign(geom.blockWords, 0);
+    entry.data.assign(geom.blockWords(), 0);
     entry.lastUse = 0;
 }
 

@@ -45,6 +45,15 @@ class LinkStats
         ++_traversals;
     }
 
+    /**
+     * @{ Bulk recording for a walk that visits many links
+     * (TimedNetwork): the per-link counters, indexed level * N +
+     * line, and the traversals added once per walk.
+     */
+    Bits *linkBits() { return perLink.data(); }
+    void addTraversals(std::uint64_t n) { _traversals += n; }
+    /** @} */
+
     /** L_i: total traffic on links to stage @p level. */
     Bits levelBits(unsigned level) const;
 

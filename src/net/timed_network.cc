@@ -1,6 +1,7 @@
 #include "timed_network.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -10,22 +11,26 @@ namespace mscp::net
 namespace
 {
 
-/** One delivery's event: its capture must stay in InlineFunction's
- *  buffer, or every delivery would allocate. */
-auto
-deliveryEvent(const DeliveryFn &on_delivery, NodeId dst, Tick when)
+/** One delivery's event, which the queue builds in its slot from
+ *  these three fields (EventQueue::scheduleNew). */
+struct DeliveryEvent
 {
-    auto ev = [on_delivery, dst, when] { on_delivery(dst, when); };
-    static_assert(InlineFunction::fitsInline<decltype(ev)>,
-                  "the delivery event outgrew InlineFunction's buffer");
-    return ev;
-}
+    DeliveryFn onDelivery;
+    NodeId dst;
+    Tick when;
+
+    void operator()() const { onDelivery(dst, when); }
+};
 
 } // anonymous namespace
 
 TimedNetwork::TimedNetwork(OmegaNetwork &network, EventQueue &eq,
                            Bits link_width_bits, Tick hop_latency)
     : net(network), eq(eq), linkWidthBits(link_width_bits),
+      widthShift(std::has_single_bit(link_width_bits)
+                     ? static_cast<unsigned>(
+                           std::countr_zero(link_width_bits))
+                     : NoShift),
       hopLatency(hop_latency),
       linkFree(static_cast<std::size_t>(
                    network.topology().numLinkLevels()) *
@@ -40,34 +45,47 @@ Tick
 TimedNetwork::sendTree(const DeliveryFn &on_delivery,
                        WalkTree walk_tree)
 {
-    LinkStats &stats = net.linkStats();
     const Tick now = eq.curTick();
-    const unsigned m = net.numStages();
     Tick last = now;
     _lastDeliveries = 0;
+    // The visitor reads only locals: it stores through the two link
+    // arrays, after which a member read would be reloaded at every
+    // link. LinkStats and linkFree share the level * N + line index.
+    LinkStats &stats = net.linkStats();
+    Bits *const link_bits = stats.linkBits();
+    Tick *const link_free = linkFree.data();
+    const std::size_t ports = net.numPorts();
+    const unsigned m = net.numStages();
+    const Bits width = linkWidthBits;
+    const unsigned shift = widthShift;
+    const Tick hop = hopLatency;
+    MetricSet *const mx = metrics;
+    std::uint64_t links = 0;
 
     // A link's value is the tick its message is done with it, which
     // is when the child links' messages are ready to depart.
     walk_tree(now, [&](unsigned level, unsigned line, Bits bits,
                        Tick ready) {
-        stats.add(level, line, bits);
-        Tick &free = linkFree[linkIndex(level, line)];
-        const Tick depart = std::max(ready, free);
-        const Tick ser = serialization(bits);
-        free = depart + ser;
-        const Tick done = depart + ser + hopLatency;
+        const std::size_t i = level * ports + line;
+        link_bits[i] += bits;
+        ++links;
+        const Tick depart = std::max(ready, link_free[i]);
+        const Tick ser = serialize(bits, width, shift);
+        link_free[i] = depart + ser;
+        const Tick done = depart + ser + hop;
 
-        if (metrics) {
-            metrics->cell(mid.linkWait, level, line, depart - ready);
-            metrics->cell(mid.linkBusy, level, line, ser);
+        if (mx) {
+            mx->cell(mid.linkWait, level, line, depart - ready);
+            mx->cell(mid.linkBusy, level, line, ser);
         }
 
         if (level == m)
             scheduleDelivery(on_delivery, line, done, last);
         return done;
     });
-    if (metrics)
-        metrics->sample(mid.fanout, _lastDeliveries);
+    stats.addTraversals(links);
+    if (mx)
+        mx->sample(mid.fanout, _lastDeliveries);
     return last;
 }
 
@@ -107,7 +125,7 @@ TimedNetwork::scheduleDelivery(const DeliveryFn &on_delivery,
                                dst, 0, cls, 0, dup);
             }
             if (on_delivery)
-                eq.schedule(deliveryEvent(on_delivery, dst, dup), dup);
+                eq.scheduleNew<DeliveryEvent>(dup, on_delivery, dst, dup);
         }
     }
     last = std::max(last, when);
@@ -117,7 +135,7 @@ TimedNetwork::scheduleDelivery(const DeliveryFn &on_delivery,
                        0, 0, when);
     }
     if (on_delivery)
-        eq.schedule(deliveryEvent(on_delivery, dst, when), when);
+        eq.scheduleNew<DeliveryEvent>(when, on_delivery, dst, when);
 }
 
 Tick

@@ -29,10 +29,11 @@ namespace mscp::net
 
 /**
  * Per-delivery callback: (destination, arrival tick). An inline,
- * trivially copyable callable (one copy is scheduled per delivery),
- * so the delivery path performs no heap allocation - enforced at
- * compile time: InlineCallback rejects oversized captures, and the
- * delivery event wrapping it asserts InlineFunction::fitsInline.
+ * trivially copyable callable: each delivery's event is built in
+ * its event-queue slot from a copy of it plus the destination and
+ * the tick, so the delivery path performs no heap allocation -
+ * enforced at compile time, since InlineCallback and the queue's
+ * InlineFunction reject captures that do not fit.
  */
 using DeliveryFn = InlineCallback<NodeId, Tick>;
 
@@ -112,7 +113,7 @@ class TimedNetwork
     Tick
     serialization(Bits bits) const
     {
-        return (bits + linkWidthBits - 1) / linkWidthBits;
+        return serialize(bits, linkWidthBits, widthShift);
     }
 
     /** Reset link-busy bookkeeping (not the bit statistics). */
@@ -170,11 +171,16 @@ class TimedNetwork
     }
 
   private:
-    std::size_t
-    linkIndex(unsigned level, unsigned line) const
+    /** widthShift of a link width that is not a power of two. */
+    static constexpr unsigned NoShift = ~0u;
+
+    /** ceil(@p bits / @p width): a shift by @p shift, or a divide
+     *  when @p shift is NoShift. */
+    static Tick
+    serialize(Bits bits, Bits width, unsigned shift)
     {
-        return static_cast<std::size_t>(level) *
-            net.numPorts() + line;
+        const Bits rounded = bits + width - 1;
+        return shift != NoShift ? rounded >> shift : rounded / width;
     }
 
     /**
@@ -196,6 +202,8 @@ class TimedNetwork
     MetricSet *metrics = nullptr;
     NetMetricIds mid;
     Bits linkWidthBits;
+    /** log2(linkWidthBits) for a power of two, else NoShift. */
+    unsigned widthShift;
     Tick hopLatency;
     /** Tick at which each link becomes free again. */
     std::vector<Tick> linkFree;

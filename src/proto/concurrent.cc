@@ -60,10 +60,10 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
     panic_if(n > MsgMaxNodes,
              "concurrent engine: %u ports exceed MsgMaxNodes (%u), "
              "the inline message limit", n, MsgMaxNodes);
-    panic_if(params.geometry.blockWords > MsgMaxBlockWords,
+    panic_if(params.geometry.blockWords() > MsgMaxBlockWords,
              "concurrent engine: %u-word blocks exceed "
              "MsgMaxBlockWords (%u), the inline message limit",
-             params.geometry.blockWords, MsgMaxBlockWords);
+             params.geometry.blockWords(), MsgMaxBlockWords);
     CpuState cs;
     cs.ackFrom = NodeSet(n);
     cs.candidates = NodeSet(n);
@@ -77,7 +77,7 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
     // two slots.
     marks.reserve(4 * std::size_t{n});
     programs.resize(n);
-    mem = mem::MemoryModule(invalidNode, params.geometry.blockWords);
+    mem = mem::MemoryModule(invalidNode, params.geometry.blockWords());
     seqSeen.assign(std::size_t{n} * n, 0);
     deadNodes = NodeSet(n);
     destScratch.resizeCleared(n);
@@ -169,7 +169,7 @@ Bits
 ConcurrentProtocol::payloadBits(const Msg &m) const
 {
     unsigned n = numCaches();
-    unsigned bw = params.geometry.blockWords;
+    unsigned bw = params.geometry.blockWords();
     switch (m.type) {
       case MsgType::DataBlock:
       case MsgType::WriteBack:
@@ -201,22 +201,22 @@ ConcurrentProtocol::allocSlot(const Msg &m)
 {
     if (freeSlot != NoSlot) {
         std::uint32_t slot = freeSlot;
-        MsgSlot &s = msgSlab[slot];
+        MsgSlot &s = *msgSlab[slot];
         freeSlot = s.nextFree;
         s.msg = m;
         s.refs = 0;
         return slot;
     }
     std::uint32_t slot = static_cast<std::uint32_t>(msgSlab.size());
-    msgSlab.emplace_back();
-    msgSlab.back().msg = m;
+    msgSlab.push_back(&msgStore.emplace_back());
+    msgSlab.back()->msg = m;
     return slot;
 }
 
 void
 ConcurrentProtocol::releaseSlot(std::uint32_t slot)
 {
-    MsgSlot &s = msgSlab[slot];
+    MsgSlot &s = *msgSlab[slot];
     s.refs = 0;
     s.nextFree = freeSlot;
     freeSlot = slot;
@@ -234,16 +234,17 @@ ConcurrentProtocol::adoptDeliveries(std::uint32_t slot)
     if (refs == 0)
         releaseSlot(slot);
     else
-        msgSlab[slot].refs = refs;
+        msgSlab[slot]->refs = refs;
 }
 
 void
 ConcurrentProtocol::deliverSlot(std::uint32_t slot, NodeId dst)
 {
     // The handler reads the message in its slot: the slot stays
-    // live until the handler returns, and the slab's deque never
-    // moves it when handler sends grow the slab.
-    MsgSlot &s = msgSlab[slot];
+    // live until the handler returns, and msgStore never moves it
+    // when handler sends grow the slab (only the msgSlab index
+    // reallocates, and this reference does not go through it).
+    MsgSlot &s = *msgSlab[slot];
     s.msg.dst = dst;
     deliver(s.msg);
     if (--s.refs == 0)
@@ -254,7 +255,7 @@ void
 ConcurrentState::reserveTables(std::size_t blocks)
 {
     const std::size_t n = cpus.size();
-    const std::size_t words = caches.front().geometry().blockWords;
+    const std::size_t words = caches.front().geometry().blockWords();
     vPending.reserve(64);
     // One live request per (cpu, block); one outstanding write per
     // cpu; one reconstruction per block.
@@ -326,10 +327,8 @@ ConcurrentProtocol::scheduleLocal(const Msg &m, Tick delay)
     }
     NodeId dst = m.dst;
     std::uint32_t slot = allocSlot(m);
-    msgSlab[slot].refs = 1;
-    auto deliver = [this, slot, dst] { deliverSlot(slot, dst); };
-    static_assert(InlineFunction::fitsInline<decltype(deliver)>);
-    eq.scheduleIn(deliver, delay);
+    msgSlab[slot]->refs = 1;
+    eq.scheduleIn([this, slot, dst] { deliverSlot(slot, dst); }, delay);
 }
 
 void
@@ -553,15 +552,12 @@ ConcurrentProtocol::run(workload::ReferenceStream &stream)
             if (ev.node >= cpus.size())
                 continue;
             NodeId n = ev.node;
-            auto crash = [this, n, restart = ev.restartTick] {
+            eq.schedule([this, n, restart = ev.restartTick] {
                 crashNode(n, restart);
-            };
-            auto rejoin = [this, n] { rejoinNode(n); };
-            static_assert(InlineFunction::fitsInline<decltype(crash)>);
-            static_assert(InlineFunction::fitsInline<decltype(rejoin)>);
-            eq.schedule(crash, ev.killTick);
+            }, ev.killTick);
             if (ev.restartTick > ev.killTick)
-                eq.schedule(rejoin, ev.restartTick);
+                eq.schedule([this, n] { rejoinNode(n); },
+                            ev.restartTick);
         }
     }
 
@@ -570,9 +566,8 @@ ConcurrentProtocol::run(workload::ReferenceStream &stream)
         issueNext(c);
 
     if (params.watchdogPeriod > 0 && refsOutstanding > 0) {
-        auto scan = [this] { watchdogTick(); };
-        static_assert(InlineFunction::fitsInline<decltype(scan)>);
-        watchdogEv = eq.scheduleIn(scan, params.watchdogPeriod);
+        watchdogEv = eq.scheduleIn([this] { watchdogTick(); },
+                                   params.watchdogPeriod);
         watchdogArmed = true;
     }
 

@@ -825,9 +825,9 @@ class ConcurrentProtocol : private ConcurrentState
     /**
      * Slab slot for a message whose deliveries are still pending.
      * The delivery callbacks capture only {engine, slot index}, so
-     * they stay within the small-buffer budget of both
-     * net::DeliveryFn and the event queue's InlineFunction: sending
-     * a message performs no per-delivery heap allocation.
+     * they fit net::DeliveryFn and, with their destination and tick,
+     * the event queue's InlineFunction: sending a message performs
+     * no per-delivery heap allocation.
      */
     static constexpr std::uint32_t NoSlot = ~std::uint32_t{0};
     struct MsgSlot
@@ -1091,9 +1091,15 @@ class ConcurrentProtocol : private ConcurrentState
     MetricsSampler msampler;
     /** @} */
 
-    /** In-flight message slab with an intrusive free list. A deque,
-     *  so a slot stays put while the handler reading it sends. */
-    std::deque<MsgSlot> msgSlab;
+    /**
+     * In-flight message slab with an intrusive free list. The slots
+     * live in msgStore, a deque, so a slot stays put while the
+     * handler reading it sends and grows the slab; msgSlab maps a
+     * slot index to its slot in one load, where a deque index
+     * divides by the slots per deque node.
+     */
+    std::deque<MsgSlot> msgStore;
+    std::vector<MsgSlot *> msgSlab;
     std::uint32_t freeSlot = NoSlot;
 
     /** Scratch destination set of the multicast being sent (see

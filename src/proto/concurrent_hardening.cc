@@ -93,9 +93,8 @@ ConcurrentProtocol::armTimeout(NodeId cpu)
     delay += retryRng.uniform(0, delay / 4);
     mx.sample(mid.retryBackoff, delay);
     std::uint64_t seq = cs.txSeq;
-    auto timeout = [this, cpu, seq] { onTimeout(cpu, seq); };
-    static_assert(InlineFunction::fitsInline<decltype(timeout)>);
-    cs.timeoutEv = eq.scheduleIn(timeout, delay);
+    cs.timeoutEv =
+        eq.scheduleIn([this, cpu, seq] { onTimeout(cpu, seq); }, delay);
     cs.timeoutArmed = true;
 }
 
@@ -232,9 +231,8 @@ ConcurrentProtocol::watchdogTick()
             dead.push_back(c);
     }
     if (dead.empty()) {
-        auto scan = [this] { watchdogTick(); };
-        static_assert(InlineFunction::fitsInline<decltype(scan)>);
-        watchdogEv = eq.scheduleIn(scan, params.watchdogPeriod);
+        watchdogEv = eq.scheduleIn([this] { watchdogTick(); },
+                                   params.watchdogPeriod);
         watchdogArmed = true;
         return;
     }
@@ -367,7 +365,7 @@ ConcurrentProtocol::buildDeadlockReport(
         }
     }
     std::size_t inflight = 0;
-    for (const MsgSlot &s : msgSlab) {
+    for (const MsgSlot &s : msgStore) {
         if (s.refs > 0)
             ++inflight;
     }

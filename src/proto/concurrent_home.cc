@@ -183,7 +183,7 @@ ConcurrentProtocol::processHomeRequest(const Msg &m)
                   .blk = blk, .seq = m.seq, .tok = token,
                   .flag = true};
         reply.words =
-            static_cast<std::uint8_t>(params.geometry.blockWords);
+            static_cast<std::uint8_t>(params.geometry.blockWords());
         mem.readBlock(blk, {reply.data.data(), reply.words});
         // GR is the safe post-recovery mode: its owner never has
         // to trust pre-crash remote copies (DESIGN.md 5f).

@@ -123,9 +123,8 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
             vSweepPending.push_back(n);
         return;
     }
-    auto sweep = [this, n] { homeSweepDead(n); };
-    static_assert(InlineFunction::fitsInline<decltype(sweep)>);
-    eq.scheduleIn(sweep, params.crashSuspectDelay);
+    eq.scheduleIn([this, n] { homeSweepDead(n); },
+                  params.crashSuspectDelay);
 }
 
 void
@@ -240,7 +239,7 @@ ConcurrentProtocol::finishRecovery(BlockId blk)
         // A surviving owner's copy wins over memory, subject to
         // per-word durable stamps (a DurableWrite racing ahead of
         // the purge may carry a fresher word).
-        for (unsigned off = 0; off < params.geometry.blockWords; ++off)
+        for (unsigned off = 0; off < params.geometry.blockWords(); ++off)
             applyDurableWord(blk, off, ctx.data[off], eq.curTick());
     }
 

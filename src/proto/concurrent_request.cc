@@ -114,9 +114,8 @@ ConcurrentProtocol::completeRef(NodeId cpu)
     }
     if (vControlled)
         return; // the next reference issues as an explorer action
-    auto issue = [this, cpu] { issueNext(cpu); };
-    static_assert(InlineFunction::fitsInline<decltype(issue)>);
-    eq.scheduleIn(issue, params.thinkTime + 1);
+    eq.scheduleIn([this, cpu] { issueNext(cpu); },
+                  params.thinkTime + 1);
 }
 
 void
@@ -263,9 +262,7 @@ ConcurrentProtocol::scheduleCommit(NodeId cpu)
         cs.vCommitPending = true;
         return;
     }
-    auto complete = [this, cpu] { completeRef(cpu); };
-    static_assert(InlineFunction::fitsInline<decltype(complete)>);
-    eq.scheduleIn(complete, params.hitLatency);
+    eq.scheduleIn([this, cpu] { completeRef(cpu); }, params.hitLatency);
 }
 
 void
@@ -275,9 +272,7 @@ ConcurrentProtocol::deferAccess(NodeId cpu, Tick delay)
         cpus[cpu].vDeferred = true; // retried by an explorer action
         return;
     }
-    auto retry = [this, cpu] { startAccess(cpu); };
-    static_assert(InlineFunction::fitsInline<decltype(retry)>);
-    eq.scheduleIn(retry, delay);
+    eq.scheduleIn([this, cpu] { startAccess(cpu); }, delay);
 }
 
 // ---------------------------------------------------------------

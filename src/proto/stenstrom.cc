@@ -12,7 +12,7 @@ using cache::State;
 
 StenstromProtocol::StenstromProtocol(net::OmegaNetwork &network,
                                      StenstromParams p)
-    : CoherenceProtocol(network, p.sizes, p.geometry.blockWords),
+    : CoherenceProtocol(network, p.sizes, p.geometry.blockWords()),
       params(p), destScratch(network.numPorts())
 {
     params.geometry.check();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
@@ -175,15 +174,8 @@ EventQueue::pruneTop()
     }
 }
 
-EventId
-EventQueue::schedule(InlineFunction cb, Tick when)
-{
-    return scheduleKeyed(std::move(cb), when, nextSeq);
-}
-
-EventId
-EventQueue::scheduleKeyed(InlineFunction cb, Tick when,
-                          std::uint64_t key)
+std::uint32_t
+EventQueue::enqueue(Tick when, std::uint64_t key)
 {
     panic_if(when < _curTick,
              "scheduling event in the past (when=%llu cur=%llu)",
@@ -199,7 +191,6 @@ EventQueue::scheduleKeyed(InlineFunction cb, Tick when,
     }
     const std::uint32_t s = allocSlot();
     Slot &n = slab[s];
-    n.cb = std::move(cb);
     n.when = when;
     n.key = key;
     n.seq = seq;
@@ -210,7 +201,7 @@ EventQueue::scheduleKeyed(InlineFunction cb, Tick when,
         heapPush({when, key, seq, s});
     }
     ++live;
-    return seq << SlotBits | s;
+    return s;
 }
 
 bool
@@ -224,7 +215,6 @@ EventQueue::deschedule(EventId id)
         ++tombstones;
     else
         bucketUnlink(slot);
-    slab[slot].cb = InlineFunction();
     freeSlot(slot);
     --live;
     // Cancel-heavy users (long timeouts, the per-shard PDES queues)
@@ -276,9 +266,10 @@ EventQueue::fire(const Next &n)
     else
         bucketUnlink(n.slot);
     // The callback leaves the slab before it runs: it may schedule
-    // (growing the slab), deschedule or reset() the queue.
+    // (growing the slab or reusing its slot), deschedule or reset()
+    // the queue.
     Slot &s = slab[n.slot];
-    InlineFunction cb = std::move(s.cb);
+    const InlineFunction cb = s.cb;
     const Tick when = s.when;
     freeSlot(n.slot);
     --live;

@@ -18,15 +18,17 @@
  *    them in tick order.
  *  - A later event (long timeouts, the watchdog, crash plans) goes
  *    into a 4-ary min-heap of 32-byte {tick, key, seq, slot} entries.
- * Callbacks (InlineFunctions, so small captures never touch the heap
- * allocator) live in a slab that neither store moves; an EventId
- * packs the event's slot and sequence number. deschedule() is O(1):
- * a bucket event is unlinked at once, a heap event frees its slot
- * and leaves its heap entry as a tombstone that is skipped when it
- * reaches the top. A descheduled event never fires, and size()
- * never counts tombstones. When tombstones outnumber live heap
- * entries the heap is compacted in place, so a cancel-heavy timer
- * pattern stays proportional to its live population.
+ * Callbacks (InlineFunctions: trivially copyable captures held
+ * inline, so scheduling never touches the heap allocator) are
+ * written once, straight into a slab slot that neither store moves;
+ * an EventId packs the event's slot and sequence number.
+ * deschedule() is O(1): a bucket event is unlinked at once, a heap
+ * event frees its slot and leaves its heap entry as a tombstone that
+ * is skipped when it reaches the top. A descheduled event never
+ * fires, and size() never counts tombstones. When tombstones
+ * outnumber live heap entries the heap is compacted in place, so a
+ * cancel-heavy timer pattern stays proportional to its live
+ * population.
  *
  * Same-tick ordering: schedule() uses the event's own sequence
  * number as its key, so events at one tick fire in schedule order.
@@ -42,7 +44,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -60,9 +64,9 @@ using EventId = std::uint64_t;
 /**
  * Discrete-event queue with deterministic same-tick ordering.
  *
- * The queue owns no simulation objects; callbacks are any `void()`
- * callables (captures up to InlineFunction::InlineSize bytes are
- * stored inline). Typical use:
+ * The queue owns no simulation objects; callbacks are trivially
+ * copyable `void()` callables of up to InlineFunction::InlineSize
+ * bytes, stored inline. Typical use:
  *
  *     EventQueue eq;
  *     eq.schedule([&]{ ... }, eq.curTick() + 5);
@@ -100,11 +104,17 @@ class EventQueue
     /**
      * Schedule a callback at an absolute tick.
      *
-     * @param cb callback to invoke
+     * @param cb callback to invoke (anything InlineFunction holds),
+     *        built straight into the event's slab slot
      * @param when absolute tick, must be >= curTick()
      * @return handle usable with deschedule()
      */
-    EventId schedule(InlineFunction cb, Tick when);
+    template <typename F>
+    EventId
+    schedule(F &&cb, Tick when)
+    {
+        return scheduleKeyed(std::forward<F>(cb), when, nextSeq);
+    }
 
     /**
      * Schedule with an explicit same-tick ordering key. Events at
@@ -113,14 +123,37 @@ class EventQueue
      * schedule() is equivalent to scheduleKeyed() with the event's
      * own sequence number as the key.
      */
-    EventId scheduleKeyed(InlineFunction cb, Tick when,
-                          std::uint64_t key);
+    template <typename F>
+    EventId
+    scheduleKeyed(F &&cb, Tick when, std::uint64_t key)
+    {
+        const std::uint32_t s = enqueue(when, key);
+        ::new (&slab[s].cb) InlineFunction(std::forward<F>(cb));
+        return slab[s].seq << SlotBits | s;
+    }
+
+    /**
+     * schedule() an @p F brace-initialized from @p fields in its
+     * slab slot (InlineFn's in-place constructor): for a hot event
+     * whose fields the caller has at hand, such as a network
+     * delivery.
+     */
+    template <typename F, typename... Fields>
+    EventId
+    scheduleNew(Tick when, Fields &&...fields)
+    {
+        const std::uint32_t s = enqueue(when, nextSeq);
+        ::new (&slab[s].cb) InlineFunction(
+            std::in_place_type<F>, std::forward<Fields>(fields)...);
+        return slab[s].seq << SlotBits | s;
+    }
 
     /** Schedule a callback @p delay ticks in the future. */
+    template <typename F>
     EventId
-    scheduleIn(InlineFunction cb, Tick delay)
+    scheduleIn(F &&cb, Tick delay)
     {
-        return schedule(std::move(cb), _curTick + delay);
+        return schedule(std::forward<F>(cb), _curTick + delay);
     }
 
     /**
@@ -250,6 +283,12 @@ class EventQueue
         bool inHeap;
     };
 
+    /**
+     * Order an event at (@p when, @p key) with the next sequence
+     * number: the slot it takes, linked into its store, whose
+     * callback the caller then writes.
+     */
+    std::uint32_t enqueue(Tick when, std::uint64_t key);
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t s);
 

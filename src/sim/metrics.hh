@@ -286,7 +286,7 @@ class MetricsSampler
     MetricsSampler(MetricSet &set, Tick window_ticks,
                    std::size_t capacity);
 
-    void setProbe(Probe p) { probe = std::move(p); }
+    void setProbe(Probe p) { probe = p; }
 
     /** See Tracer::setOverflowWarn. */
     void setOverflowWarn(bool on) { warnOnOverflow = on; }

@@ -152,7 +152,7 @@ EngineGateway::canonical() const
     const unsigned n = static_cast<unsigned>(e->cpus.size());
     const auto &g = e->params.geometry;
     const std::uint64_t nb = nBlocks;
-    const unsigned bw = g.blockWords;
+    const unsigned bw = g.blockWords();
     const bool timeouts = cfg.opt.timeoutBase > 0;
     CanonScratch &sc = canonScratch;
     sc.reserveOnce();
@@ -372,7 +372,7 @@ EngineGateway::canonical() const
                                               : a->block < b->block;
                           });
                 std::size_t k = 0;
-                for (unsigned s = 0; s < g.numSets; ++s) {
+                for (unsigned s = 0; s < g.numSets(); ++s) {
                     const std::size_t first = k;
                     sc.lru.clear();
                     for (; k < sc.entries.size() &&

@@ -495,8 +495,8 @@ Explorer::renderViolation(const VerifyConfig &cfg,
         "crashBudget=%u rejoin=%d\n",
         cfg.name.c_str(), cfg.nodes,
         cfg.mode == cache::Mode::DistributedWrite ? "dw" : "gr",
-        cfg.geometry.blockWords, cfg.geometry.numSets,
-        cfg.geometry.assoc,
+        cfg.geometry.blockWords(), cfg.geometry.numSets(),
+        cfg.geometry.assoc(),
         static_cast<unsigned long long>(cfg.numBlocks()),
         cfg.opt.fifoChannels ? 1 : 0, cfg.opt.symmetry ? 1 : 0,
         static_cast<unsigned long long>(cfg.opt.timeoutBase),

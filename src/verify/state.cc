@@ -66,7 +66,7 @@ EngineGateway::EngineGateway(const VerifyConfig &cfg_,
         }
         for (const auto &[set, blks] : perSet) {
             (void)set;
-            if (blks.size() > cfg.geometry.assoc) {
+            if (blks.size() > cfg.geometry.assoc()) {
                 symEligible = false;
                 break;
             }

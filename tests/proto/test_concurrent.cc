@@ -2,14 +2,16 @@
  * @file
  * Tests for the message-level concurrent engine: linearizable
  * values under genuine transaction overlap, quiescent invariants,
- * race paths (pointer NACKs, home queueing, hand-offs under load)
- * and cross-validation against the atomic engine.
+ * race paths (pointer NACKs, home queueing, hand-offs under load),
+ * cross-validation against the atomic engine and an allocation-free
+ * delivery path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 
@@ -27,6 +29,37 @@
 
 using namespace mscp;
 using namespace mscp::proto;
+
+// Every allocation in this binary goes through this counter, so a
+// test can compare the allocations of two runs. The replacements
+// stay out of line: inlined into a container's destructor, their
+// free() would meet a pointer GCC knows came from operator new, and
+// -Wmismatched-new-delete would fire.
+namespace
+{
+std::size_t allocations = 0;
+} // anonymous namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t sz)
+{
+    ++allocations;
+    if (void *p = std::malloc(sz ? sz : 1))
+        return p;
+    throw std::bad_alloc{};
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -296,7 +329,9 @@ TEST(Concurrent, BuildingBeyondMsgLimitsPanicsNamingTheLimit)
     auto panicText = [](unsigned ports, unsigned block_words) {
         net::OmegaNetwork net(ports);
         ConcurrentParams params = baseParams();
-        params.geometry.blockWords = block_words;
+        params.geometry =
+            cache::Geometry{block_words, params.geometry.numSets(),
+                            params.geometry.assoc()};
         try {
             ConcurrentProtocol p(net, params);
         } catch (const PanicError &e) {
@@ -462,6 +497,44 @@ TEST(Concurrent, HotSpotContentionStaysLinearizable)
     EXPECT_EQ(res.valueErrors, 0u);
     EXPECT_GT(p.counters().homeQueued, 0u);
     expectQuiescentClean(p);
+}
+
+TEST(Concurrent, DeliveriesAllocateNothingPerMessage)
+{
+    // A conc-hot-shaped run (64 ports, 16 tasks on one DW block,
+    // 16x2 caches): every message passes through the slab, the timed
+    // network and the event queue, and none of them may allocate per
+    // message. What a run does allocate (programs, tables, the slab
+    // and the queue growing to their high-water marks) grows at most
+    // logarithmically with its length, so four times the references
+    // may cost only a few more allocations; one per message would
+    // make it about four times as many.
+    auto allocationsOfRun = [](std::uint64_t refs) {
+        net::OmegaNetwork net(64);
+        ConcurrentParams params;
+        params.geometry = cache::Geometry{4, 16, 2};
+        params.defaultMode = cache::Mode::DistributedWrite;
+        ConcurrentProtocol p(net, params);
+        workload::HotSpotParams hp;
+        hp.placement = workload::adjacentPlacement(16);
+        hp.writeFraction = 0.5;
+        hp.blockWords = 4;
+        hp.baseAddr = 63 * 4;
+        hp.numRefs = refs;
+        hp.seed = 1;
+        workload::HotSpotWorkload w(hp);
+        const std::size_t before = allocations;
+        const ConcurrentRunResult res = p.run(w);
+        const std::size_t made = allocations - before;
+        EXPECT_EQ(res.refs, refs);
+        EXPECT_EQ(res.valueErrors, 0u);
+        return made;
+    };
+    const std::size_t shortRun = allocationsOfRun(30000);
+    const std::size_t longRun = allocationsOfRun(120000);
+    EXPECT_LT(2 * longRun, 3 * shortRun)
+        << shortRun << " allocations in 30 000 references, "
+        << longRun << " in 120 000";
 }
 
 // ---------------------------------------------------------------

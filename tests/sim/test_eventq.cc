@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "net/timed_network.hh"
 #include "sim/eventq.hh"
 #include "sim/logging.hh"
 
@@ -123,11 +124,13 @@ TEST(EventQueue, EventsMayScheduleMoreEvents)
 {
     EventQueue eq;
     int count = 0;
+    // Events hold trivially copyable captures only, so each one
+    // refers to the chain instead of copying the std::function.
     std::function<void()> chain = [&] {
         if (++count < 5)
-            eq.scheduleIn(chain, 1);
+            eq.scheduleIn([&chain] { chain(); }, 1);
     };
-    eq.schedule(chain, 0);
+    eq.schedule([&chain] { chain(); }, 0);
     eq.run();
     EXPECT_EQ(count, 5);
     EXPECT_EQ(eq.curTick(), 4u);
@@ -549,32 +552,36 @@ TEST(EventQueue, MatchesSortedReferenceUnderRandomMix)
 
 TEST(EventQueue, DeliveryShapedEventsAllocateNothing)
 {
-    // The network's delivery event: an InlineCallback<NodeId, Tick>
-    // plus its destination and arrival tick. Once the queue has
-    // grown to its working size, scheduling and firing it must not
-    // allocate, whether it lands in a bucket or in the heap.
+    // The network's delivery events, as TimedNetwork::sendUnicast
+    // builds them in their slots: a DeliveryFn plus its destination
+    // and arrival tick. Once the queue has grown to its working
+    // size, sending and firing must not allocate, whether a delivery
+    // lands in a bucket or, behind a message that holds its links
+    // for more than the wheel's span, in the heap.
+    net::OmegaNetwork net(64);
     EventQueue eq;
+    net::TimedNetwork tn(net, eq, 16, 1);
     std::uint64_t arrivals = 0;
-    InlineCallback<NodeId, Tick> onDelivery =
-        [&arrivals](NodeId, Tick) { ++arrivals; };
-    auto deliver = [&](int i) {
-        const NodeId dst = static_cast<NodeId>(i % 64);
-        const Tick when = eq.curTick() + 1 + i % 7 +
-            (i % 5 == 0 ? EventQueue::WheelSpan : 0);
-        eq.schedule([onDelivery, dst, when] {
-            onDelivery(dst, when);
-        }, when);
+    const net::DeliveryFn onDelivery = [&arrivals](NodeId, Tick) {
+        ++arrivals;
+    };
+    auto send = [&](int i) {
+        const auto src = static_cast<NodeId>(i % 64);
+        const auto dst = static_cast<NodeId>((i * 7 + 3) % 64);
+        const Bits payload =
+            i % 5 == 0 ? 16 * EventQueue::WheelSpan : 32 + i % 7;
+        tn.sendUnicast(src, dst, payload, onDelivery);
     };
     constexpr int N = 20000;
     for (int i = 0; i < 64; ++i)
-        deliver(i);
+        send(i);
     for (int i = 0; i < N; ++i) {
-        deliver(i);
+        send(i);
         eq.step();
     }
     const std::size_t before = allocations;
     for (int i = 0; i < N; ++i) {
-        deliver(i);
+        send(i);
         eq.step();
     }
     EXPECT_EQ(allocations - before, 0u);
