@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <iomanip>
 #include <set>
 #include <sstream>
 
@@ -227,6 +229,153 @@ TEST(UniformRandom, Bounded)
         EXPECT_LT(r.addr, 64u);
     }
     EXPECT_EQ(count, 1000u);
+}
+
+namespace
+{
+
+constexpr std::uint64_t DigestRefs = 20000;
+
+/** 64-bit multiply-rotate digest of a word sequence. */
+class Digest
+{
+  public:
+    void
+    mix(std::uint64_t v)
+    {
+        h = std::rotl(h ^ (v * 0x87c37b91114253d5ull), 31) *
+            0x4cf5ad432745937full;
+    }
+
+    std::uint64_t value() const { return h; }
+
+  private:
+    std::uint64_t h = 0xcbf29ce484222325ull;
+};
+
+/** Digest of (cpu, addr, isWrite, value) over the first refs. */
+std::uint64_t
+streamDigest(ReferenceStream &s)
+{
+    Digest d;
+    MemRef r;
+    std::uint64_t count = 0;
+    while (count < DigestRefs && s.next(r)) {
+        d.mix(r.cpu);
+        d.mix(r.addr);
+        d.mix(r.isWrite ? 1 : 0);
+        d.mix(r.value);
+        ++count;
+    }
+    EXPECT_EQ(count, DigestRefs) << s.name() << " ran short";
+    return d.value();
+}
+
+/** One "name digest" line per seeded stream drawn at @p seed. */
+std::string
+seededStreamDigests(std::uint64_t seed)
+{
+    std::ostringstream os;
+    auto put = [&os, seed](const std::string &name, std::uint64_t d) {
+        os << name << " seed=" << seed << ' ' << std::hex
+           << std::setw(16) << std::setfill('0') << d << std::dec
+           << '\n';
+    };
+    // The paper grid's shape (4 blocks of 4 words) at its extremes.
+    for (unsigned n : {4u, 32u}) {
+        for (double w : {0.02, 0.5}) {
+            SharedBlockParams p;
+            p.placement = adjacentPlacement(n);
+            p.writeFraction = w;
+            p.numBlocks = 4;
+            p.blockWords = 4;
+            p.numRefs = DigestRefs;
+            p.seed = seed;
+            SharedBlockWorkload s(p);
+            std::ostringstream name;
+            name << "shared-block n=" << n << " w=" << w;
+            put(name.str(), streamDigest(s));
+        }
+    }
+    {
+        SharedBlockParams p;
+        p.placement = adjacentPlacement(16);
+        p.writeFraction = 0.1;
+        p.numBlocks = 8;
+        p.writerAlsoReads = false;
+        p.numRefs = DigestRefs;
+        p.seed = seed;
+        SharedBlockWorkload s(p);
+        put("shared-block n=16 w=0.1 skip-writer",
+            streamDigest(s));
+    }
+    {
+        HotSpotParams p;
+        p.placement = adjacentPlacement(16);
+        p.writeFraction = 0.5;
+        p.blockWords = 4;
+        p.numRefs = DigestRefs;
+        p.seed = seed;
+        HotSpotWorkload s(p);
+        put("hot-spot n=16 w=0.5", streamDigest(s));
+    }
+    {
+        UniformRandomParams p;
+        p.numCpus = 8;
+        p.addrRange = 256;
+        p.numRefs = DigestRefs;
+        p.seed = seed;
+        UniformRandomWorkload s(p);
+        put("uniform-random cpus=8 range=256", streamDigest(s));
+    }
+    {
+        Random rng(seed);
+        Digest d;
+        for (NodeId id : randomPlacement(8, 64, rng))
+            d.mix(id);
+        put("random-placement 8 of 64", d.value());
+    }
+    {
+        Random rng(seed);
+        std::vector<unsigned> v(16);
+        for (unsigned i = 0; i < v.size(); ++i)
+            v[i] = i;
+        rng.shuffle(v);
+        Digest d;
+        for (unsigned x : v)
+            d.mix(x);
+        put("shuffle 0..15", d.value());
+    }
+    return os.str();
+}
+
+} // namespace
+
+// Pins every seeded stream to its exact references, so a change to
+// the random source or a generator shows here rather than as a
+// distant bench-golden diff.
+TEST(Workload, SeededStreamsMatchGoldenDigest)
+{
+    const char *golden =
+        "shared-block n=4 w=0.02 seed=1 be877f1ec77bb3e0\n"
+        "shared-block n=4 w=0.5 seed=1 9140ade58ec748a9\n"
+        "shared-block n=32 w=0.02 seed=1 00e978bbf6f4e0b4\n"
+        "shared-block n=32 w=0.5 seed=1 e9bc811a99053a86\n"
+        "shared-block n=16 w=0.1 skip-writer seed=1 837aa6c387bba8db\n"
+        "hot-spot n=16 w=0.5 seed=1 dc432cf44f07d057\n"
+        "uniform-random cpus=8 range=256 seed=1 eef74d5a62717aba\n"
+        "random-placement 8 of 64 seed=1 5d13a9945e1ad918\n"
+        "shuffle 0..15 seed=1 eb37cb0b9131322b\n"
+        "shared-block n=4 w=0.02 seed=7 8a12832ac42d23f1\n"
+        "shared-block n=4 w=0.5 seed=7 d61d7054a9b2d036\n"
+        "shared-block n=32 w=0.02 seed=7 efe24294347af38b\n"
+        "shared-block n=32 w=0.5 seed=7 75b07803ff7c9c5c\n"
+        "shared-block n=16 w=0.1 skip-writer seed=7 144f0424fecc58a6\n"
+        "hot-spot n=16 w=0.5 seed=7 e8a1e1f6c2cf49fe\n"
+        "uniform-random cpus=8 range=256 seed=7 f31702932af743dd\n"
+        "random-placement 8 of 64 seed=7 d451a20d303232dc\n"
+        "shuffle 0..15 seed=7 045623fcffdccd76\n";
+    EXPECT_EQ(seededStreamDigests(1) + seededStreamDigests(7), golden);
 }
 
 TEST(Trace, RoundTrips)
