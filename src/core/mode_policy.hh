@@ -15,9 +15,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "proto/stenstrom.hh"
+#include "sim/flat.hh"
 #include "workload/ref_stream.hh"
 
 namespace mscp::core
@@ -105,7 +105,7 @@ class AdaptiveModePolicy : public ModePolicy
 
     std::uint64_t window;
     std::uint64_t _decisions = 0;
-    std::unordered_map<BlockId, BlockCounters> counters;
+    FlatMap<BlockId, BlockCounters> counters;
 };
 
 } // namespace mscp::core

@@ -57,8 +57,8 @@ CoherenceProtocol::goldenWrite(Addr addr, std::uint64_t value)
 void
 CoherenceProtocol::goldenRead(Addr addr, std::uint64_t value)
 {
-    auto it = golden.find(addr);
-    std::uint64_t expect = it == golden.end() ? 0 : it->second;
+    const std::uint64_t *known = golden.find(addr);
+    std::uint64_t expect = known ? *known : 0;
     if (value != expect) {
         ++_valueErrors;
         warn("%s: read @%llu returned %llu, expected %llu",

@@ -18,13 +18,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/memory_module.hh"
 #include "net/omega_network.hh"
 #include "proto/message.hh"
 #include "sim/bitset.hh"
+#include "sim/flat.hh"
 #include "sim/types.hh"
 #include "workload/ref_stream.hh"
 
@@ -143,7 +143,7 @@ class CoherenceProtocol
 
   private:
     std::uint64_t _valueErrors = 0;
-    std::unordered_map<Addr, std::uint64_t> golden;
+    FlatMap<Addr, std::uint64_t> golden;
     MessageRecorder recorder;
 };
 
