@@ -4,7 +4,6 @@
 
 #include <cstdlib>
 #include <new>
-#include <random>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "net/timed_network.hh"
 #include "sim/eventq.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 using namespace mscp;
 
@@ -403,23 +403,23 @@ class ReferenceQueue
     scheduleOne()
     {
         Tick delay;
-        switch (rng() % 8) {
+        switch (rng.draw() % 8) {
           case 0:
             delay = 0;
             break;
           case 1:
-            delay = EventQueue::WheelSpan - 1 + rng() % 2;
+            delay = EventQueue::WheelSpan - 1 + rng.draw() % 2;
             break;
           case 2:
           case 3:
-            delay = EventQueue::WheelSpan + rng() % 3000;
+            delay = EventQueue::WheelSpan + rng.draw() % 3000;
             break;
           default:
-            delay = rng() % 64;
+            delay = rng.draw() % 64;
             break;
         }
-        const bool keyed = rng() % 3 == 0;
-        const Ev ev{eq.curTick() + delay, keyed ? rng() % 4 : seq,
+        const bool keyed = rng.draw() % 3 == 0;
+        const Ev ev{eq.curTick() + delay, keyed ? rng.draw() % 4 : seq,
                     seq, handles.size()};
         ++seq;
         auto cb = [this, label = ev.label] { fired(label); };
@@ -435,7 +435,7 @@ class ReferenceQueue
     {
         if (handles.empty())
             return;
-        Handle &h = handles[rng() % handles.size()];
+        Handle &h = handles[rng.draw() % handles.size()];
         EXPECT_EQ(eq.deschedule(h.id), h.live);
         if (h.live) {
             pending.erase(h.ev);
@@ -447,7 +447,7 @@ class ReferenceQueue
     void
     act(bool in_callback)
     {
-        const unsigned r = rng() % 16;
+        const unsigned r = rng.draw() % 16;
         if (r < 9 && budget > 0) {
             --budget;
             scheduleOne();
@@ -511,12 +511,12 @@ class ReferenceQueue
         EXPECT_EQ(eq.curTick(), expect.when);
         pending.erase(pending.begin());
         handles[label].live = false;
-        for (unsigned i = rng() % 3; i-- > 0;)
+        for (unsigned i = rng.draw() % 3; i-- > 0;)
             act(true);
     }
 
     EventQueue &eq;
-    std::mt19937_64 rng;
+    Random rng;
     std::set<Ev> pending;
     std::vector<Handle> handles;
     /** The queue's sequence number of the next schedule. */
