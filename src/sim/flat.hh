@@ -20,6 +20,7 @@
 #define MSCP_SIM_FLAT_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -34,12 +35,18 @@ namespace mscp
 namespace detail
 {
 
-/** Fibonacci (multiplicative) hash of an integral key. */
+/**
+ * Fibonacci (multiplicative) hash of an integral key into a table of
+ * 2^(64 - shift) slots: the top bits of key * 2^64 / phi, which
+ * spread runs of consecutive keys (block and word addresses) over
+ * distinct slots. Lower bits of the product do not: taking bits
+ * 32 and up put 16 consecutive word addresses in 11 of 32 slots.
+ */
 inline std::size_t
-fibHash(std::uint64_t key)
+fibHash(std::uint64_t key, unsigned shift)
 {
     return static_cast<std::size_t>(
-        (key * 0x9e3779b97f4a7c15ull) >> 32);
+        (key * 0x9e3779b97f4a7c15ull) >> shift);
 }
 
 } // namespace detail
@@ -158,8 +165,7 @@ class FlatMap
     std::size_t capacity() const { return keys.size(); }
     std::size_t slotOf(K key) const
     {
-        return detail::fibHash(static_cast<std::uint64_t>(key)) &
-            mask;
+        return detail::fibHash(static_cast<std::uint64_t>(key), shift);
     }
 
     std::size_t
@@ -204,6 +210,7 @@ class FlatMap
         keys.assign(new_cap, Empty);
         vals.assign(new_cap, V{});
         mask = new_cap - 1;
+        shift = 64 - static_cast<unsigned>(std::countr_zero(new_cap));
         for (std::size_t s = 0; s < old_keys.size(); ++s) {
             if (old_keys[s] == Empty)
                 continue;
@@ -218,6 +225,7 @@ class FlatMap
     std::vector<K> keys;
     std::vector<V> vals;
     std::size_t mask = 0;
+    unsigned shift = 64; ///< 64 - log2(capacity); set by rehash()
     std::size_t count = 0;
 };
 
